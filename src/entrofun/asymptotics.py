@@ -15,7 +15,7 @@ the full numeric ladders) are provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import coeffs, oracle
 from .closedforms import log_factorial, log_gamma, pochhammer
@@ -238,9 +238,7 @@ def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
     if F.c > F.d:
         res = renyi_gegenbauer_asym(Functional.geg_renyi(
             m, alpha, F.b, F.a, F.d, F.c, kappa), K, force_truncation)
-        return ExpansionResult(res.prefactor, res.terms, res.partial_sums,
-                               res.truncation_used, "laplace_swapped",
-                               res.status, res.oracle_fallback)
+        return replace(res, branch="laplace_swapped")
     status = "ok"
     if _low_confidence(F):
         status = "low_confidence"
@@ -273,9 +271,7 @@ def shannon_gegenbauer_asym(F: Functional, K: int = K_MAX,
     if F.c > F.d:
         res = shannon_gegenbauer_asym(Functional.geg_shannon(
             F.m, F.alpha, F.b, F.a, F.d, F.c), K, route, tol_rel)
-        return ExpansionResult(res.prefactor, res.terms, res.partial_sums,
-                               res.truncation_used, "laplace_swapped_shannon",
-                               res.status, res.oracle_fallback)
+        return replace(res, branch="laplace_swapped_shannon")
     m, alpha = F.m, F.alpha
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, 2.0))
     status = "low_confidence" if _low_confidence(F) else "ok"

@@ -9,16 +9,22 @@ parameter, ``kappa`` the power of the polynomial in the integrand, ``mu``
 and ``lam`` the weight parameters of the Laguerre-type integrals, ``sigma``
 the shift in the extended (mu = alpha + sigma) family, and ``a, b, c, d``
 the exponent parameters of the Gegenbauer-type integrals.
+
+The j- and kappa-free part of the Gegenbauer saddle amplitude (saddle point,
+reverted saddle series and weight factors) is built once per (a, b, c, d,
+order) in a bounded LRU cache and shared by every ladder term and kappa.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .closedforms import HyperTerm, hyper_terminating
-from .series import DEFAULT_ORDER, Series, saddle_series, series_pow
+from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series,
+                     series_pow)
 
 
 @dataclass(frozen=True)
@@ -209,30 +215,44 @@ def geg_saddle_x(c: float, d: float, order: int = DEFAULT_ORDER):
     return x_m, saddle_series(phi)
 
 
+@functools.lru_cache(maxsize=256)
+def _geg_frame(a: float, b: float, c: float, d: float, order: int):
+    """The j- and kappa-free factors of the geg_laplace_c amplitude to
+    ``order``: x_m, (1-x_m)^a (1+x_m)^b, the series (1-x)^a (1+x)^b / that
+    constant, x / x_m and dx/dy.
+
+    Coefficient k of a reverted, powered or multiplied series depends only on
+    coefficients 0..k of its inputs, so a frame built at the ladder's top
+    order and truncated gives the same numbers bit for bit as one built at
+    the lower order.
+    """
+    if not (0.0 < c < d):
+        raise ValueError("geg_laplace_c requires 0 < c < d; the c > d case "
+                         "follows from swapping (a, c) with (b, d)")
+    x_m, s = geg_saddle_x(c, d, order)  # s.order == order + 1, for dx/dy
+    dxdy = s.deriv()
+    s = s.truncate(order)
+    w1 = (Series.constant(1.0 - x_m, order) - s) * (1.0 / (1.0 - x_m))
+    w2 = (Series.constant(1.0 + x_m, order) + s) * (1.0 / (1.0 + x_m))
+    wx = (Series.constant(x_m, order) + s) * (1.0 / x_m)
+    return (x_m, (1.0 - x_m) ** a * (1.0 + x_m) ** b,
+            series_pow(w1, a) * series_pow(w2, b), wx, dxdy)
+
+
+def _geg_amplitude(frame, j: int, kappa: float, m: int, order: int) -> Series:
+    """geg_laplace_c from a frame of order >= ``order``."""
+    x_m, const_ab, w_ab, wx, dxdy = frame
+    rho = kappa * m - 2.0 * j
+    amp = (w_ab.truncate(order) * series_pow(wx.truncate(order), rho)
+           * dxdy.truncate(order))
+    return amp * (const_ab * x_m ** rho)
+
+
 def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
                   kappa: float, m: int, order: int = DEFAULT_ORDER) -> Series:
     """Amplitude series (1-x)^a (1+x)^b x^(kappa m - 2j) dx/dy in powers of y,
     about the interior saddle; requires 0 < c < d."""
-    if not (0.0 < c < d):
-        raise ValueError("geg_laplace_c requires 0 < c < d; the c > d case "
-                         "follows from swapping (a, c) with (b, d)")
-    x_m, s = geg_saddle_x(c, d, order + 1)
-    w = s.order
-    w1 = (Series.constant(1.0 - x_m, w) - s) * (1.0 / (1.0 - x_m))
-    w2 = (Series.constant(1.0 + x_m, w) + s) * (1.0 / (1.0 + x_m))
-    wx = (Series.constant(x_m, w) + s) * (1.0 / x_m)
-    amp = (series_pow(w1, a) * series_pow(w2, b)
-           * series_pow(wx, kappa * m - 2.0 * j) * s.deriv())
-    const = ((1.0 - x_m) ** a * (1.0 + x_m) ** b
-             * x_m ** (kappa * m - 2.0 * j))
-    return (amp * const).truncate(order)
-
-
-def _double_factorial_odd(k: int) -> float:
-    out = 1.0
-    for v in range(1, 2 * k, 2):
-        out *= v
-    return out
+    return _geg_amplitude(_geg_frame(a, b, c, d, order), j, kappa, m, order)
 
 
 def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
@@ -240,7 +260,8 @@ def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
     """C_k(alpha): Gaussian-moment assembly of the per-j amplitudes weighted
     by the A_j ladder."""
     A = geg_A_coeffs(kappa, m, alpha, k_max)
-    amps = [geg_laplace_c(j, a, b, c, d, kappa, m, order=2 * (k_max - j))
+    frame = _geg_frame(a, b, c, d, 2 * k_max)
+    amps = [_geg_amplitude(frame, j, kappa, m, 2 * (k_max - j))
             for j in range(k_max + 1)]
     values = []
     for k in range(k_max + 1):

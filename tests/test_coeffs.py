@@ -8,7 +8,7 @@ from entrofun import coeffs as cf
 from entrofun.functional import Functional
 from entrofun.oracle import integrate_functional
 from entrofun.orthopoly import laguerre_value
-from entrofun.series import laplace_sum
+from entrofun.series import Series, _double_factorial_odd, laplace_sum, series_pow
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,89 @@ def test_geg_laplace_c_requires_ordered_weights():
         cf.geg_laplace_c(0, 0.0, 0.0, 3.0, 1.0, 2.0, 1)
     with pytest.raises(ValueError):
         cf.geg_laplace_c(0, 0.0, 0.0, 1.0, 1.0, 2.0, 1)
+
+
+def _geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, order):
+    """geg_laplace_c with the saddle series built and reverted afresh for
+    this one (j, kappa, order), with no shared frame."""
+    x_m, s = cf.geg_saddle_x(c, d, order + 1)
+    w = s.order
+    w1 = (Series.constant(1.0 - x_m, w) - s) * (1.0 / (1.0 - x_m))
+    w2 = (Series.constant(1.0 + x_m, w) + s) * (1.0 / (1.0 + x_m))
+    wx = (Series.constant(x_m, w) + s) * (1.0 / x_m)
+    amp = (series_pow(w1, a) * series_pow(w2, b)
+           * series_pow(wx, kappa * m - 2.0 * j) * s.deriv())
+    const = ((1.0 - x_m) ** a * (1.0 + x_m) ** b
+             * x_m ** (kappa * m - 2.0 * j))
+    return (amp * const).truncate(order)
+
+
+def _geg_C_rebuilt(a, b, c, d, kappa, m, alpha, k_max):
+    A = cf.geg_A_coeffs(kappa, m, alpha, k_max)
+    amps = [_geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, 2 * (k_max - j))
+            for j in range(k_max + 1)]
+    return tuple(math.fsum(A[j] * amps[j].coeffs[2 * (k - j)]
+                           * _double_factorial_odd(k - j) for j in range(k + 1))
+                 for k in range(k_max + 1))
+
+
+_H = 1e-4  # the Shannon central-difference step: kappa = 2 +- h, 2 +- 2h
+
+
+@pytest.mark.parametrize("c, d, m, alpha, K, kappas", [
+    (1.0, 3.0, 3, 200.0, 7, (2.0, 2 + _H, 2 - _H, 2 + 2 * _H, 2 - 2 * _H)),
+    (0.4, 0.9, 5, 3000.0, 4, (0.7, 2.0, 3.3)),
+    (2.5, 2.6, 1, 800.0, 0, (1.0, 2 + _H, 2 - 2 * _H)),
+    (1.3, 7.0, 8, 1.0e4, 6, (2 + 2 * _H, 1.6)),
+])
+def test_geg_ladder_bitwise_matches_per_term_rebuild(c, d, m, alpha, K, kappas):
+    # two (a, b) pairs on the same (c, d): the shared frame must key on both
+    for a, b in ((-0.5, 4.5), (1.25, -0.75)):
+        for kappa in kappas:
+            got = cf.geg_C_ladder(a, b, c, d, kappa, m, alpha, K).values
+            assert got == _geg_C_rebuilt(a, b, c, d, kappa, m, alpha, K)
+            for j, order in ((0, 2 * K), (1, 2 * K), (K, 3), (2, 0)):
+                assert (cf.geg_laplace_c(j, a, b, c, d, kappa, m, order).coeffs
+                        == _geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m,
+                                                  order).coeffs)
+
+
+def test_geg_ladder_builds_one_saddle_per_frame(monkeypatch):
+    builds = []
+    saddle = cf.geg_saddle_x
+
+    def counting(*args):
+        builds.append(args)
+        return saddle(*args)
+
+    monkeypatch.setattr(cf, "geg_saddle_x", counting)
+    cf._geg_frame.cache_clear()
+    args = (0.3, 1.1, 0.8, 2.9)
+    for kappa in (2 + _H, 2 - _H, 2 + 2 * _H, 2 - 2 * _H):
+        cf.geg_C_ladder(*args, kappa, 4, 500.0, 7)
+    assert len(builds) == 1
+    cf.geg_laplace_c(2, *args, 1.5, 4, order=14)   # same order: a hit
+    assert len(builds) == 1
+    cf.geg_laplace_c(2, *args, 1.5, 4, order=6)    # a new order: one build
+    cf.geg_C_ladder(0.4, 1.1, 0.8, 2.9, 2.0, 4, 500.0, 7)  # new (a, b)
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("build, param", [
+    (cf.geg_saddle_x, (1.0, 3.0)),
+    (cf.geg_saddle_x, (0.37, 5.2)),
+    (cf.geg_saddle_x, (2.5, 2.6)),
+    (cf.ext_saddle_x, (2.0,)),
+    (cf.ext_saddle_x, (0.45,)),
+])
+def test_saddle_series_truncation_is_exact(build, param):
+    # the shared Gegenbauer frame relies on this: coefficient k of the
+    # reverted saddle series does not depend on the order it was built at
+    top_x, top = build(*param, 18)
+    for n in (0, 1, 2, 5, 11, 17):
+        x, s = build(*param, n)
+        assert x == top_x
+        assert top.truncate(s.order).coeffs == s.coeffs
 
 
 def test_geg_D0():
