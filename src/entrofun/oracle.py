@@ -13,6 +13,7 @@ values overflow doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ class QuadResult:
 # tanh-sinh machinery
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_MAX_LEVEL + 1)
 def _ts_level_nodes(level: int):
     """Abscissas for one refinement level on (-1, 1).
 
@@ -71,15 +73,6 @@ def _ts_level_nodes(level: int):
     return u[keep], one_minus[keep], one_plus[keep], w[keep]
 
 
-_NODE_CACHE: dict[int, tuple] = {}
-
-
-def _nodes(level: int):
-    if level not in _NODE_CACHE:
-        _NODE_CACHE[level] = _ts_level_nodes(level)
-    return _NODE_CACHE[level]
-
-
 def _integrate_segment(f, lo: float, hi: float, tol_abs: float,
                        min_level: int = 3):
     """Tanh-sinh integration of f over [lo, hi] to absolute tolerance.
@@ -96,7 +89,7 @@ def _integrate_segment(f, lo: float, hi: float, tol_abs: float,
     prev = None
     err = math.inf
     for level in range(_MAX_LEVEL + 1):
-        u, one_m, one_p, w = _nodes(level)
+        u, one_m, one_p, w = _ts_level_nodes(level)
         dist_lo = half * one_p
         dist_hi = half * one_m
         x = lo + dist_lo
@@ -151,6 +144,16 @@ def _log_abs_poly(p):
     return out
 
 
+def _integrand_values(core, logp, shannon: bool):
+    """exp(core) for a power integrand |p|^kappa; for a Shannon integrand
+    also the p^2 log p^2 factor 2 log|p|, which takes its limit 0 at the
+    zeros of p."""
+    if shannon:
+        vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
+        return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
+    return np.exp(core)
+
+
 def _laguerre_coeff_bound_log(m: int, alpha: float) -> float:
     """log of the sum of absolute Taylor coefficients of L_m^(alpha)."""
     terms = [math.lgamma(alpha + m + 1.0) - math.lgamma(alpha + k + 1.0)
@@ -161,8 +164,12 @@ def _laguerre_coeff_bound_log(m: int, alpha: float) -> float:
 
 
 def _lag_segments_and_scale(F: Functional):
-    """Segments, log scale, and scaled integrand factory for the plain
-    Laguerre families (weight x^(mu-1) e^(-lam x))."""
+    """Plain Laguerre families (weight x^(mu-1) e^(-lam x)).
+
+    Like the other ``_*_segments_and_scale`` builders it returns the segment
+    bounds, the log scale, a factory ``make_integrand(lo, hi)`` of scaled
+    integrands for one segment, and the absolute tail truncated off the
+    last segment, in units of the scale."""
     m, alpha, mu, lam, kappa = F.m, F.alpha, F.mu, F.lam, F.kappa
     log_pref = (kappa * m * math.log(alpha) + math.lgamma(mu)
                 - mu * math.log(lam) - kappa * math.lgamma(m + 1.0))
@@ -190,12 +197,10 @@ def _lag_segments_and_scale(F: Functional):
         p = laguerre_value(m, alpha, x)
         logp = _log_abs_poly(p)
         core = (mu - 1.0) * np.log(x) - lam * x + kappa * logp - log_pref
-        if F.kind.is_shannon:
-            vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
-            return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
-        return np.exp(core)
+        return _integrand_values(core, logp, F.kind.is_shannon)
 
-    return bounds, log_pref, integrand, math.exp(min(tail_log(x_hi) - log_pref, 0.0))
+    tail = math.exp(min(tail_log(x_hi) - log_pref, 0.0))
+    return bounds, log_pref, lambda lo, hi: integrand, tail
 
 
 def _geg_segments_and_scale(F: Functional):
@@ -231,11 +236,7 @@ def _geg_segments_and_scale(F: Functional):
             one_minus_x = gap_hi + dist_hi
             one_plus_x = gap_lo + dist_lo
             core, logp = log_core(x, one_minus_x, one_plus_x)
-            core = core - log_pref
-            if F.kind.is_shannon:
-                vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
-                return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
-            return np.exp(core)
+            return _integrand_values(core - log_pref, logp, F.kind.is_shannon)
         return integrand
 
     return bounds, log_pref, make_integrand, 0.0
@@ -285,13 +286,39 @@ def _ext_segments_and_scale(F: Functional):
                     + (sigma - 1.0) * np.log(safe_u) + kappa * logp - log_pref)
         core = np.where(u > 0.0, core, -np.inf)
         core = np.where(np.isnan(core), -np.inf, core)
-        if F.kind.is_shannon:
-            vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
-            return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
-        return np.exp(core)
+        return _integrand_values(core, logp, F.kind.is_shannon)
 
     tail = math.exp(min(bound_log(u_hi), 0.0))
-    return bounds, log_pref, integrand, tail
+    return bounds, log_pref, lambda lo, hi: integrand, tail
+
+
+def _quadrature(bounds, log_pref: float, make_integrand, tail: float,
+                tol_rel: float, signed: bool, may_vanish: bool) -> QuadResult:
+    """Integrate the scaled integrand over every segment, certify the
+    tolerance and undo the scale.
+
+    ``signed`` allows a negative total (Shannon integrands change sign);
+    ``may_vanish`` accepts an exactly zero total as the value zero.
+    """
+    seg_funcs = [(make_integrand(lo, hi), lo, hi)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+    total, err, n_evals = _refine_segments(seg_funcs, tol_rel)
+    err += tail
+    segments = tuple(zip(bounds[:-1], bounds[1:]))
+
+    if total == 0.0:
+        if may_vanish:
+            return QuadResult(LogValue.zero(), -math.inf, n_evals, segments)
+        raise QuadratureError("integral estimate vanished")
+    if err > tol_rel * abs(total):
+        raise QuadratureError(
+            f"could not certify tolerance {tol_rel}: estimate {total} with "
+            f"error {err} after {n_evals} evaluations")
+    if not signed and total < 0.0:
+        raise QuadratureError("negative estimate for a nonnegative integrand")
+    value = LogValue(1 if total > 0 else -1, math.log(abs(total)) + log_pref)
+    abs_err_log = (math.log(err) + log_pref) if err > 0.0 else -math.inf
+    return QuadResult(value, abs_err_log, n_evals, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -303,35 +330,13 @@ def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
     if not (TOL_MIN <= tol_rel <= TOL_MAX):
         raise ValueError(f"tol_rel must lie in [{TOL_MIN}, {TOL_MAX}]")
     if F.kind.is_gegenbauer:
-        bounds, log_pref, make_integrand, tail = _geg_segments_and_scale(F)
-        seg_funcs = [(make_integrand(lo, hi), lo, hi)
-                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+        build = _geg_segments_and_scale
     elif F.kind in (Kind.LAG_RENYI, Kind.LAG_SHANNON):
-        bounds, log_pref, integrand, tail = _lag_segments_and_scale(F)
-        seg_funcs = [(integrand, lo, hi)
-                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+        build = _lag_segments_and_scale
     else:
-        bounds, log_pref, integrand, tail = _ext_segments_and_scale(F)
-        seg_funcs = [(integrand, lo, hi)
-                     for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    total, err, n_evals = _refine_segments(seg_funcs, tol_rel)
-    err += tail
-    segments = tuple(zip(bounds[:-1], bounds[1:]))
-
-    if total == 0.0:
-        if F.kind.is_shannon and F.m == 0:
-            return QuadResult(LogValue.zero(), -math.inf, n_evals, segments)
-        raise QuadratureError(f"integral estimate vanished for {F}")
-    if err > tol_rel * abs(total):
-        raise QuadratureError(
-            f"could not certify tolerance {tol_rel}: estimate {total} with "
-            f"error {err} after {n_evals} evaluations")
-    if not F.kind.is_shannon and total < 0.0:
-        raise QuadratureError("negative estimate for a nonnegative integrand")
-    value = LogValue(1 if total > 0 else -1, math.log(abs(total)) + log_pref)
-    abs_err_log = (math.log(err) + log_pref) if err > 0.0 else -math.inf
-    return QuadResult(value, abs_err_log, n_evals, segments)
+        build = _ext_segments_and_scale
+    return _quadrature(*build(F), tol_rel, signed=F.kind.is_shannon,
+                       may_vanish=F.kind.is_shannon and F.m == 0)
 
 
 def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
@@ -359,22 +364,14 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
     log_pref = float(np.max(core))
 
     def integrand(t, dist_lo, dist_hi):
-        p = hermite_value(m, t)
-        logp = _log_abs_poly(p)
-        return np.exp(-t * t + kappa * logp - log_pref)
+        logp = _log_abs_poly(hermite_value(m, t))
+        return _integrand_values(-t * t + kappa * logp - log_pref, logp, False)
 
-    seg_funcs = [(integrand, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    total, err, n_evals = _refine_segments(seg_funcs, tol_rel)
-    if total <= 0.0:
-        raise QuadratureError("nonpositive estimate for a positive integrand")
-    if err > tol_rel * total:
-        raise QuadratureError(f"could not certify tolerance {tol_rel} for the "
-                              f"Hermite power integral (err {err / total})")
+    q = _quadrature(bounds, log_pref, lambda lo, hi: integrand, 0.0, tol_rel,
+                    signed=False, may_vanish=False)
     log_jac = 0.5 * (math.log(2.0) - math.log(alpha_scale))
-    value = LogValue(1, math.log(total) + log_pref + log_jac)
-    abs_err_log = (math.log(err) + log_pref + log_jac) if err > 0 else -math.inf
-    return QuadResult(value, abs_err_log, n_evals,
-                      tuple(zip(bounds[:-1], bounds[1:])))
+    return QuadResult(LogValue(1, q.value.log_abs + log_jac), q.abs_err_log + log_jac,
+                      q.n_evals, q.segments)
 
 
 def shannon_integrand_value(F: Functional, x: float) -> float:
