@@ -5,16 +5,21 @@ well conditioned for the modest degrees (m <= 60) and large parameters this
 package works in.  The value-only evaluators accept either a float or a
 numpy array for the argument.
 
-Zeros are located by bracketing sign changes on a scan of the classical
-support and polishing with Newton steps; the scan grids combine a coarse
-Chebyshev spread with a cluster at the known large-parameter accumulation
-region of the roots.
+The m zeros of each family are the eigenvalues of the m x m symmetric
+tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
+Math. Comp. 23, 1969).  numpy's ``eigvalsh`` gives them to about machine
+precision times the matrix norm; a few Newton steps on the recurrence, each
+kept between the midpoints to the neighbouring eigenvalues, bring every
+zero to within rounding of the polynomial's own values.  The result is
+certified by a sign change of the polynomial between consecutive zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_DEGREE = 60
 
@@ -123,49 +128,44 @@ def hermite_eval(m: int, x: float) -> PolyEval:
 # Real zeros
 # ---------------------------------------------------------------------------
 
-def _chebyshev_points(lo: float, hi: float, n: int) -> list[float]:
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return [mid - half * math.cos(math.pi * j / (n + 1)) for j in range(1, n + 1)]
+def _jacobi_roots(diag, off, f, fp) -> tuple[float, ...]:
+    """The zeros of an orthogonal polynomial ``f`` (derivative ``fp``), in
+    increasing order, from its Jacobi matrix.
 
+    ``diag`` and ``off`` are the diagonal and off-diagonal of the symmetric
+    tridiagonal Jacobi matrix, whose eigenvalues are the zeros (Golub and
+    Welsch, Math. Comp. 23, 1969).  Each eigenvalue is polished by Newton
+    steps that stay between the midpoints to its neighbouring eigenvalues.
+    A root stops when its step falls to 4e-16 relative or stops shrinking:
+    near large-parameter zeros the rounding noise of the recurrence keeps
+    the step from ever reaching 4e-16.  The result is certified: the roots
+    must be strictly increasing and ``f`` must alternate in sign across the
+    midpoints between consecutive roots.
+    """
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mid = 0.5 * (x[:-1] + x[1:])
+    lo = np.concatenate(([-np.inf], mid))
+    hi = np.concatenate((mid, [np.inf]))
+    step = np.full(x.shape, np.inf)
+    active = np.arange(x.size)
+    for _ in range(50):     # a backstop; the certificate below judges the result
+        xa = x[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = xa - f(xa) / fp(xa)
+        new_step = np.abs(new - xa)
+        take = (lo[active] < new) & (new < hi[active]) & (new_step < step[active])
+        x[active[take]] = new[take]
+        step[active[take]] = new_step[take]
+        active = active[take & (new_step > 4e-16 * np.maximum(1.0, np.abs(new)))]
+        if active.size == 0:
+            break
 
-def _scan_brackets(f, grid: list[float], need: int) -> list[tuple[float, float]]:
-    vals = [f(x) for x in grid]
-    brackets = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
-    if vals[-1] == 0.0:
-        brackets.append((grid[-1], grid[-1]))
-    return brackets[:need + 1]
-
-
-def _polish_root(f, fp, lo: float, hi: float) -> float:
-    """Bisection-guarded Newton refinement inside a sign-change bracket."""
-    if lo == hi:
-        return lo
-    flo = f(lo)
-    x = 0.5 * (lo + hi)
-    for it in range(100):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0) == (flo < 0):
-            lo = x
-        else:
-            hi = x
-        d = fp(x)
-        step = fx / d if d != 0.0 else math.inf
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    raise RuntimeError(
-        f"root polish failed to converge in 100 iterations: bracket "
-        f"[{lo}, {hi}], last x={x}, f(x)={f(x)}")
+    signs = np.sign(f(0.5 * (x[:-1] + x[1:])))
+    if not (np.all(np.diff(x) > 0.0) and np.all(signs != 0.0)
+            and np.all(signs[:-1] != signs[1:])):
+        raise RuntimeError(f"polished zeros {x.tolist()} are not separated by "
+                           f"sign changes")
+    return tuple(float(r) for r in x)
 
 
 def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
@@ -173,58 +173,25 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
     _check_degree(m)
     if m < 1:
         raise ValueError("polynomial_zeros requires m >= 1")
+    k = np.arange(1, m, dtype=float)
     if family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("laguerre zeros require alpha > -1")
+        diag = 2.0 * np.arange(m) + alpha + 1.0
+        off = np.sqrt(k * (k + alpha))
         f = lambda x: laguerre_value(m, alpha, x)
-        fp = lambda x: 0.0 if m == 0 else -laguerre_value(m - 1, alpha + 1.0, x)
-        a = max(alpha, 0.0)
-        x_max = a + 2 * m * math.sqrt(max(a, 1.0)) + 4.0 * m * m + 10.0
-        cluster_mid, cluster_scale = a, math.sqrt(2.0 * max(a, 1.0))
-        lo_support = 0.0
-        hi_support = None
+        fp = lambda x: -laguerre_value(m - 1, alpha + 1.0, x)
     elif family == "gegenbauer":
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
+        diag = np.zeros(m)
+        off = np.sqrt(k * (k + 2.0 * alpha - 1.0)
+                      / (4.0 * (k + alpha) * (k + alpha - 1.0)))
         f = lambda x: gegenbauer_value(m, alpha, x)
         fp = lambda x: 2.0 * alpha * gegenbauer_value(m - 1, alpha + 1.0, x)
-        x_max = 1.0
-        cluster_mid, cluster_scale = 0.0, 1.0 / math.sqrt(alpha + m)
-        lo_support = -1.0
-        hi_support = 1.0
     else:
         raise ValueError(f"unknown polynomial family {family!r}")
-
-    u_max = math.sqrt(2.0 * m + 1.0) + 2.0
-    n_pts = 8 * m + 33
-    for attempt in range(24):
-        if family == "laguerre":
-            grid = _chebyshev_points(lo_support, x_max, n_pts)
-        else:
-            grid = _chebyshev_points(lo_support, hi_support, n_pts)
-        cluster = [cluster_mid + cluster_scale * (-u_max + 2.0 * u_max * j / (n_pts - 1))
-                   for j in range(n_pts)]
-        lo_edge = lo_support
-        hi_edge = x_max if family == "laguerre" else hi_support
-        grid = sorted(set(x for x in grid + cluster if lo_edge < x < hi_edge))
-        brackets = _scan_brackets(f, grid, m)
-        if len(brackets) >= m:
-            break
-        n_pts *= 2
-        if family == "laguerre":
-            x_max *= 1.6
-    else:
-        raise RuntimeError(
-            f"failed to bracket {m} zeros of {family} (alpha={alpha}); "
-            f"found {len(brackets)} sign changes")
-
-    roots = [_polish_root(f, fp, lo, hi) for lo, hi in brackets[:m]]
-    roots.sort()
-    for i in range(len(roots) - 1):
-        if roots[i + 1] <= roots[i]:
-            raise RuntimeError(f"duplicate zeros near {roots[i]} for {family} "
-                               f"m={m}, alpha={alpha}")
-    return ZeroSet(tuple(roots), m)
+    return ZeroSet(_jacobi_roots(diag, off, f, fp), m)
 
 
 def hermite_zeros(m: int) -> ZeroSet:
@@ -232,17 +199,6 @@ def hermite_zeros(m: int) -> ZeroSet:
     _check_degree(m)
     if m < 1:
         raise ValueError("hermite_zeros requires m >= 1")
-    f = lambda x: hermite_value(m, x)
-    fp = lambda x: 2.0 * m * hermite_value(m - 1, x)
-    u_max = math.sqrt(2.0 * m + 1.0) + 1.0
-    n_pts = 16 * m + 33
-    for attempt in range(8):
-        grid = [-u_max + 2.0 * u_max * j / (n_pts - 1) for j in range(n_pts)]
-        brackets = _scan_brackets(f, grid, m)
-        if len(brackets) >= m:
-            break
-        n_pts *= 2
-    else:
-        raise RuntimeError(f"failed to bracket {m} Hermite zeros")
-    roots = sorted(_polish_root(f, fp, lo, hi) for lo, hi in brackets[:m])
-    return ZeroSet(tuple(roots), m)
+    off = np.sqrt(np.arange(1, m) / 2.0)
+    return ZeroSet(_jacobi_roots(np.zeros(m), off, lambda x: hermite_value(m, x),
+                                 lambda x: 2.0 * m * hermite_value(m - 1, x)), m)

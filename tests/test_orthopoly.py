@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from entrofun.orthopoly import (gegenbauer_eval, gegenbauer_explicit_sum,
-                                gegenbauer_value, hermite_eval, hermite_value,
-                                hermite_zeros, laguerre_eval, laguerre_value,
-                                polynomial_zeros)
+from entrofun.orthopoly import (_jacobi_roots, gegenbauer_eval,
+                                gegenbauer_explicit_sum, gegenbauer_value,
+                                hermite_eval, hermite_value, hermite_zeros,
+                                laguerre_eval, laguerre_value, polynomial_zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +181,10 @@ def test_laguerre_quadratic_zeros():
                                       12.0 + math.sqrt(12.0)), rel=1e-13)
 
 
-@pytest.mark.parametrize("family,alpha,lo,hi", [
-    ("laguerre", 5.0, 0.0, math.inf),
-    ("laguerre", 800.0, 0.0, math.inf),
-    ("gegenbauer", 5.0, -1.0, 1.0),
-    ("gegenbauer", 800.0, -1.0, 1.0),
-])
-@pytest.mark.parametrize("m", [2, 5, 9])
-def test_zero_sets(family, alpha, lo, hi, m):
-    zs = polynomial_zeros(family, m, alpha)
+def _check_zero_set(zs, m, value, deriv, lo, hi):
     assert zs.degree == m and len(zs.roots) == m
     assert all(lo < r < hi for r in zs.roots)
     assert all(zs.roots[i] < zs.roots[i + 1] for i in range(m - 1))
-    value = {"laguerre": lambda x: laguerre_value(m, alpha, x),
-             "gegenbauer": lambda x: gegenbauer_value(m, alpha, x)}[family]
-    deriv = {"laguerre": lambda x: -laguerre_value(m - 1, alpha + 1.0, x),
-             "gegenbauer": lambda x: 2 * alpha * gegenbauer_value(
-                 m - 1, alpha + 1.0, x)}[family]
     for r in zs.roots:
         local = abs(deriv(r)) * max(abs(r), 1e-3)
         assert abs(value(r)) <= 1e-10 * local
@@ -207,11 +195,74 @@ def test_zero_sets(family, alpha, lo, hi, m):
         assert signs[i] != signs[i + 1]
 
 
+@pytest.mark.parametrize("family,alpha,lo,hi", [
+    ("laguerre", 0.3, 0.0, math.inf),
+    ("laguerre", 5.0, 0.0, math.inf),
+    ("laguerre", 800.0, 0.0, math.inf),
+    ("laguerre", 1e4, 0.0, math.inf),
+    ("gegenbauer", 0.3, -1.0, 1.0),
+    ("gegenbauer", 5.0, -1.0, 1.0),
+    ("gegenbauer", 800.0, -1.0, 1.0),
+    ("gegenbauer", 1e4, -1.0, 1.0),
+])
+@pytest.mark.parametrize("m", [2, 5, 9, 60])
+def test_zero_sets(family, alpha, lo, hi, m):
+    zs = polynomial_zeros(family, m, alpha)
+    value = {"laguerre": lambda x: laguerre_value(m, alpha, x),
+             "gegenbauer": lambda x: gegenbauer_value(m, alpha, x)}[family]
+    deriv = {"laguerre": lambda x: -laguerre_value(m - 1, alpha + 1.0, x),
+             "gegenbauer": lambda x: 2 * alpha * gegenbauer_value(
+                 m - 1, alpha + 1.0, x)}[family]
+    _check_zero_set(zs, m, value, deriv, lo, hi)
+
+
 def test_hermite_zeros():
     zs = hermite_zeros(4)
     expect = (math.sqrt((3 - math.sqrt(6.0)) / 2), math.sqrt((3 + math.sqrt(6.0)) / 2))
     assert zs.roots == pytest.approx((-expect[1], -expect[0], expect[0], expect[1]),
                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 7, 60])
+def test_hermite_zero_sets(m):
+    _check_zero_set(hermite_zeros(m), m, lambda x: hermite_value(m, x),
+                    lambda x: 2 * m * hermite_value(m - 1, x), -math.inf, math.inf)
+
+
+@pytest.mark.parametrize("family,m,alpha", [
+    ("gegenbauer", 60, 1e4), ("laguerre", 60, 1e4), ("hermite", 60, None)])
+def test_zeros_match_high_precision_eigenvalues(family, m, alpha):
+    # The zeros are the eigenvalues of the symmetric tridiagonal Jacobi
+    # matrix; at 40 digits its eigenvalues are exact to double precision.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        J = mp.zeros(m, m)
+        for i in range(m):
+            k = mp.mpf(i + 1)
+            if family == "laguerre":
+                J[i, i] = 2 * i + mp.mpf(alpha) + 1
+                off = mp.sqrt(k * (k + alpha))
+            elif family == "gegenbauer":
+                off = mp.sqrt(k * (k + 2 * mp.mpf(alpha) - 1)
+                              / (4 * (k + alpha) * (k + alpha - 1)))
+            else:
+                off = mp.sqrt(k / 2)
+            if i + 1 < m:
+                J[i, i + 1] = J[i + 1, i] = off
+        ref = sorted(float(e) for e in mp.eigsy(J, eigvals_only=True))
+    zs = hermite_zeros(m) if family == "hermite" else polynomial_zeros(family, m, alpha)
+    scale = max(abs(r) for r in ref)
+    assert max(abs(r - e) for r, e in zip(zs.roots, ref)) <= 1e-15 * scale
+
+
+def test_zeros_certificate_rejects_foreign_matrix():
+    # Jacobi matrix of H_5 paired with L_5^(2): the polished points are not
+    # separated by sign changes of the polynomial
+    m = 5
+    with pytest.raises(RuntimeError):
+        _jacobi_roots(np.zeros(m), np.sqrt(np.arange(1, m) / 2.0),
+                      lambda x: laguerre_value(m, 2.0, x),
+                      lambda x: -laguerre_value(m - 1, 3.0, x))
 
 
 def test_zero_degree_rejected():
