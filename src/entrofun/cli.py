@@ -348,10 +348,10 @@ def _coeff_values(args) -> tuple[list[float], str, dict]:
         return [cf.ext_lag_D(k, args.sigma, args.lam, args.kappa, args.m)
                 for k in ks], "printed", meta
     if lad == "saddle-geg":
-        _, s = cf.geg_saddle_x(args.c, args.d, order=max(n + 1, 4))
+        _, s = cf.geg_saddle_x(args.c, args.d, order=max(n - 1, 0))
         return list(s.coeffs[1:n + 1]), "engine", meta
     if lad == "saddle-ext":
-        _, s = cf.ext_saddle_x(args.lam, order=max(n + 1, 4))
+        _, s = cf.ext_saddle_x(args.lam, order=max(n - 1, 0))
         return list(s.coeffs[1:n + 1]), "engine", meta
     raise CliError(f"unknown ladder {lad!r}")
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from entrofun import coeffs as cf
 from entrofun.cli import main
 
 
@@ -156,6 +157,19 @@ def test_coeffs_saddle_ladder(capsys):
     doc = json.loads(out)
     assert doc["values"][0] == pytest.approx(math.sqrt(3.0) / 4.0)
     assert doc["values"][1] == pytest.approx(-1.0 / 12.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 11])
+def test_coeffs_saddle_ladders_give_n_values(capsys, n):
+    # the first n saddle coefficients, equal bit for bit to a longer series
+    _, s = cf.geg_saddle_x(1.0, 3.0, order=12)
+    _, out, _ = run_cli(capsys, "coeffs", "--ladder", "saddle-geg", "--c", "1",
+                        "--d", "3", "--n", str(n))
+    assert json.loads(out)["values"] == list(s.coeffs[1:n + 1])
+    _, s = cf.ext_saddle_x(1.7, order=12)
+    _, out, _ = run_cli(capsys, "coeffs", "--ladder", "saddle-ext",
+                        "--lambda", "1.7", "--n", str(n))
+    assert json.loads(out)["values"] == list(s.coeffs[1:n + 1])
 
 
 def test_coeffs_ext_d_ladder(capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entrofun.series import (Series, laplace_sum, laplace_terms, saddle_series,
                              series_arith, series_compose, series_exp,
@@ -150,10 +150,13 @@ def test_revert_compose_is_identity(tail, f1):
 @given(st.floats(min_value=0.3, max_value=3.0),
        st.lists(st.floats(min_value=-1.0, max_value=1.0,
                           allow_nan=False), min_size=1, max_size=10))
+# log coefficients up to 3.5e4 here; the round trip misses by 1.4e-12
+@example(a0=0.3046875, tail=[1.0, -1.0] + [0.0] * 7)
 def test_exp_log_roundtrip(a0, tail):
     a = Series.from_coeffs([a0] + tail)
-    back = series_exp(series_log(a))
-    scale = max(1.0, max(abs(c) for c in a.coeffs))
+    log_a = series_log(a)
+    back = series_exp(log_a)
+    scale = max(1.0, max(abs(c) for c in a.coeffs + log_a.coeffs))
     for got, want in zip(back.coeffs, a.coeffs):
         assert got == pytest.approx(want, abs=1e-12 * scale)
 
