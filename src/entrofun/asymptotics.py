@@ -6,10 +6,14 @@ recording how the input was routed (Watson ladder, interior-saddle Laplace,
 symmetric case, Hermite limit, or oracle-only fallback where no expansion
 exists).
 
-Shannon-type integrals are derivatives of the power-type ones with respect
-to the exponent kappa at kappa = 2; both an analytic low-order route (from
-the printed coefficient ladders) and a central-difference route (applied to
-the full numeric ladders) are provided.
+Shannon-type integrals are 2 d/dkappa of the power-type ones at kappa = 2.
+In every family the log-prefactor is linear in kappa with slope ell / 2, so
+the k-th Shannon term is ell t_k + 2 dt_k/dkappa, with ell exact and t_k the
+dimensionless power-type term; ``_shannon_terms`` builds it on every route.
+The "analytic" route takes (t_k, dt_k/dkappa) from the printed low-order
+coefficients and their kappa-derivatives; the "fd" route takes them from the
+full numeric ladders built at four kappa values around 2 (central difference
+with one Richardson level).
 """
 
 from __future__ import annotations
@@ -79,6 +83,26 @@ def _check_K(K: int, cap: int = K_MAX) -> None:
         raise ValueError(f"K must lie in [0, {cap}], got {K}")
 
 
+def _shannon_terms(ell: float, t, dt) -> list[float]:
+    """Shannon terms from the Renyi terms t_k and their kappa-derivatives:
+    2 d/dkappa [P(kappa) t_k(kappa)] / P(2), where log P is linear in kappa
+    with slope ell / 2."""
+    return [ell * a + 2.0 * b for a, b in zip(t, dt)]
+
+
+def _fd_kappa_terms(terms_at, h: float = _FD_STEP
+                    ) -> tuple[list[float], list[float]]:
+    """(t_k, d t_k / d kappa) at kappa = 2 from the dimensionless term list
+    ``terms_at(kappa)`` at kappa = 2 +- h and 2 +- 2h: the central difference
+    with one Richardson level, and the matching O(h^4) value."""
+    p1, m1 = terms_at(2.0 + h), terms_at(2.0 - h)
+    p2, m2 = terms_at(2.0 + 2.0 * h), terms_at(2.0 - 2.0 * h)
+    t = [(4.0 * (a + b) - (c + d)) / 6.0 for a, b, c, d in zip(p1, m1, p2, m2)]
+    dt = [(8.0 * (a - b) - (c - d)) / (12.0 * h)
+          for a, b, c, d in zip(p1, m1, p2, m2)]
+    return t, dt
+
+
 # ---------------------------------------------------------------------------
 # plain Laguerre family (Watson's-lemma ladder)
 # ---------------------------------------------------------------------------
@@ -129,56 +153,22 @@ def shannon_laguerre_asym(F: Functional, K: int = 2,
                          force_truncation=True)
     pref = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam, 2.0))
     status = "low_confidence" if _low_confidence(F) else "ok"
+    ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
     if route == "analytic":
         _check_K(K, 2)
-        ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
-        terms = [(ell * coeffs.lag_D(k, F.mu, F.lam, 2.0, F.m)
-                  + 2.0 * coeffs.lag_D_kappa_derivative(k, F.mu, F.lam, 2.0, F.m))
-                 / F.alpha ** k for k in range(K + 1)]
+        d = [coeffs.lag_D(k, F.mu, F.lam, 2.0, F.m) for k in range(K + 1)]
+        dp = [coeffs.lag_D_kappa_derivative(k, F.mu, F.lam, 2.0, F.m)
+              for k in range(K + 1)]
+        terms = [s / F.alpha ** k
+                 for k, s in enumerate(_shannon_terms(ell, d, dp))]
         return _assemble(pref, terms, "watson_shannon_analytic", status,
                          force_truncation=True)
     if route != "fd":
         raise ValueError(f"unknown route {route!r}")
     _check_K(K)
-
-    def renyi_sums(kappa):
-        p = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam, kappa))
-        terms = _lag_grouped_terms(F, K, kappa)
-        out = []
-        run = []
-        for t in terms:
-            run.append(t)
-            out.append(p.scaled(math.fsum(run)))
-        return out
-
-    sums = _fd_kappa_sums(renyi_sums)
-    terms = _terms_from_sums(sums, pref)
-    return _assemble(pref, terms, "watson_shannon_fd", status,
-                     force_truncation=True)
-
-
-def _fd_kappa_sums(renyi_sums, h: float = _FD_STEP) -> list[LogValue]:
-    """2 d/d(kappa) at kappa = 2 of a list of partial sums, by central
-    differences with one Richardson level."""
-    def diff(step):
-        plus = renyi_sums(2.0 + step)
-        minus = renyi_sums(2.0 - step)
-        inv = LogValue.from_float(1.0 / step)
-        return [(p - q) * inv for p, q in zip(plus, minus)]
-
-    d1 = diff(h)
-    d2 = diff(2.0 * h)
-    third = LogValue.from_float(1.0 / 3.0)
-    return [(a.scaled(4.0) - b) * third for a, b in zip(d1, d2)]
-
-
-def _terms_from_sums(sums, pref: LogValue) -> list[float]:
-    terms = []
-    prev = LogValue.zero()
-    for s in sums:
-        terms.append((s - prev) / pref)
-        prev = s
-    return [t.to_float() for t in terms]
+    t, dt = _fd_kappa_terms(lambda kappa: _lag_grouped_terms(F, K, kappa))
+    return _assemble(pref, _shannon_terms(ell, t, dt), "watson_shannon_fd",
+                     status, force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +265,26 @@ def shannon_gegenbauer_asym(F: Functional, K: int = K_MAX,
     m, alpha = F.m, F.alpha
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, 2.0))
     status = "low_confidence" if _low_confidence(F) else "ok"
+    ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
+           - 2.0 * log_factorial(m))
     if route == "analytic":
+        _check_K(K, 0)
         d0 = coeffs.geg_D0(F.a, F.b, F.c, F.d, 2.0, m)
         d0_prime = d0 * m * math.log((F.d - F.c) / (F.c + F.d))
-        ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
-               - 2.0 * log_factorial(m))
-        return _assemble(pref, [ell * d0 + 2.0 * d0_prime],
+        return _assemble(pref, _shannon_terms(ell, [d0], [d0_prime]),
                          "laplace_shannon_analytic", status,
                          force_truncation=True)
     if route != "fd":
         raise ValueError(f"unknown route {route!r}")
     _check_K(K)
 
-    def renyi_sums(kappa):
-        p = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, kappa))
+    def terms_at(kappa):
         ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K)
-        out = []
-        run = []
-        for k, v in enumerate(ladder.values):
-            run.append(v / alpha ** k)
-            out.append(p.scaled(math.fsum(run)))
-        return out
+        return [v / alpha ** k for k, v in enumerate(ladder.values)]
 
-    sums = _fd_kappa_sums(renyi_sums)
-    terms = _terms_from_sums(sums, pref)
-    return _assemble(pref, terms, "laplace_shannon_fd", status,
-                     force_truncation=True)
+    t, dt = _fd_kappa_terms(terms_at)
+    return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
+                     status, force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +359,24 @@ def ext_shannon_laguerre_asym(F: Functional, K: int = 1, route: str = "auto",
                       - math.log(lam)) - 2.0 * log_factorial(m))
     if route == "analytic":
         _check_K(K, 1)
-        terms = [(ell * coeffs.ext_lag_D(k, sigma, lam, 2.0, m)
-                  + 2.0 * coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, 2.0, m))
-                 / alpha ** k for k in range(K + 1)]
+        d = [coeffs.ext_lag_D(k, sigma, lam, 2.0, m) for k in range(K + 1)]
+        dp = [coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, 2.0, m)
+              for k in range(K + 1)]
+        terms = [s / alpha ** k
+                 for k, s in enumerate(_shannon_terms(ell, d, dp))]
         return _assemble(pref, terms, "laplace_shannon_analytic", status,
                          force_truncation=True)
     if route != "fd":
         raise ValueError(f"unknown route {route!r}")
     _check_K(K)
 
-    def renyi_sums(kappa):
-        p = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, kappa))
+    def terms_at(kappa):
         amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, order=2 * K)
-        terms = laplace_terms(amp, alpha, K)
-        out = []
-        run = []
-        for t in terms:
-            run.append(t)
-            out.append(p.scaled(math.fsum(run)))
-        return out
+        return laplace_terms(amp, alpha, K)
 
-    sums = _fd_kappa_sums(renyi_sums)
-    terms = _terms_from_sums(sums, pref)
-    return _assemble(pref, terms, "laplace_shannon_fd", status,
-                     force_truncation=True)
+    t, dt = _fd_kappa_terms(terms_at)
+    return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
+                     status, force_truncation=True)
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,7 @@ def cmd_sweep(args) -> int:
         header.append("rel_err_vs_oracle")
     header.append("status")
 
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
+    records = []
     failed = False
     for row in rows:
         failed = failed or row["status"].startswith("error")
@@ -285,16 +283,16 @@ def cmd_sweep(args) -> int:
                 v = LogValue.from_log(row["log_abs"], row["sign"])
                 rec.append(_fmt(v.rel_diff(LogValue.from_log(ref[1], ref[0]))))
         rec.append(row["status"])
-        w.writerow(rec)
-    text = out.getvalue()
+        records.append([str(c) for c in rec])
     if args.format == "csv":
-        sys.stdout.write(text)
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(records)
     elif args.format == "pretty":
-        for line in text.splitlines():
-            print("  ".join(f"{c:>22}" for c in line.split(",")))
+        for rec in [header, *records]:
+            print("  ".join(f"{c:>22}" for c in rec))
     elif args.format == "json":
-        rdr = csv.DictReader(io.StringIO(text))
-        print(json.dumps(list(rdr), indent=2))
+        print(json.dumps([dict(zip(header, rec)) for rec in records], indent=2))
     else:
         raise CliError("sweep supports --format csv, json or pretty")
     return 1 if failed else 0

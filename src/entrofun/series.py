@@ -114,19 +114,6 @@ class Series:
         return Series((0.0,) + self.coeffs)
 
 
-def series_arith(a: Series, b: Series, op: str) -> Series:
-    """add / sub / mul / div with min-order truncation."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def series_compose(f: Series, g: Series) -> Series:
     """f(g(y)) truncated at min(f.order, g.order); g must have g(0) = 0."""
     if g.coeffs[0] != 0.0:
@@ -178,19 +165,6 @@ def series_pow(a: Series, rho: float) -> Series:
                         for j in range(1, k + 1))
         out[k] = acc / (k * a.coeffs[0])
     return Series(tuple(out))
-
-
-def series_transcend(a: Series, fn: str, rho: float | None = None) -> Series:
-    """Compose with exp, log, or a real power."""
-    if fn == "exp":
-        return series_exp(a)
-    if fn == "log":
-        return series_log(a)
-    if fn == "pow":
-        if rho is None:
-            raise ValueError("pow requires the exponent rho")
-        return series_pow(a, rho)
-    raise ValueError(f"unknown transcendental {fn!r}")
 
 
 def series_revert(f: Series) -> Series:

@@ -185,6 +185,13 @@ def test_shannon_gegenbauer_fd_matches_analytic_leading():
     assert fd.value.rel_diff(an.value) <= 1e-6
 
 
+def test_shannon_gegenbauer_analytic_rejects_positive_K():
+    # the printed route has the leading term only
+    F = Functional.geg_shannon(1, 500.0, 0.2, -0.3, 1.0, 3.0)
+    with pytest.raises(ValueError, match=r"\[0, 0\]"):
+        shannon_gegenbauer_asym(F, K=1, route="analytic")
+
+
 # ---------------------------------------------------------------------------
 # extended Laguerre family
 # ---------------------------------------------------------------------------
@@ -271,6 +278,25 @@ def test_ext_shannon_error_decreases():
         ref = integrate_functional(F, 1e-11).value
         errs.append(est.rel_diff(ref))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("F, evaluate", [
+    (Functional.geg_shannon(4, 2000.0, -0.5, -0.5, 1.0, 3.0),
+     evaluate_asymptotic),
+    (Functional.ext_shannon(3, 1000.0, 1.0, 0.5),
+     lambda F: ext_shannon_laguerre_asym(F, K=7, route="fd")),
+    (Functional.lag_shannon(3, 400.0, 2.5, 1.5),
+     lambda F: shannon_laguerre_asym(F, K=7, route="fd")),
+], ids=["geg", "ext", "lag"])
+def test_shannon_fd_route_matches_oracle(F, evaluate):
+    # The fd routes difference only the dimensionless terms in kappa; the
+    # prefactor's kappa-slope enters exactly, so no differencing error of
+    # the exponential prefactor is left and the full ladders reach the
+    # 1e-12 oracle.
+    res = evaluate(F)
+    assert res.branch.endswith("_fd")
+    ref = integrate_functional(F, 1e-12).value
+    assert res.value.rel_diff(ref) <= 2e-12
 
 
 # ---------------------------------------------------------------------------

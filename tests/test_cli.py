@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -128,6 +130,28 @@ def test_sweep_single_point_failure_recorded(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert all("error" in line for line in lines[1:])
+
+
+def test_sweep_formats_share_records(capsys):
+    # a status holding commas stays one cell in every format
+    base = ("sweep", "--kind", "i1", "--m", "2", "--alpha", "400", "--mu",
+            "2.5", "--lambda", "1", "--kappa", "2", "--alpha-start", "400",
+            "--alpha-stop", "800", "--count", "2", "--order", "9",
+            "--format")
+    status = "error: K must lie in [0, 7], got 9"
+    outs = {}
+    for fmt in ("csv", "json", "pretty"):
+        code, outs[fmt], _ = run_cli(capsys, *base, fmt)
+        assert code == 1
+    records = list(csv.DictReader(io.StringIO(outs["csv"])))
+    asym = [r["status"] for r in records if r["method"] == "asym"]
+    assert asym == [status] * 2
+    assert json.loads(outs["json"]) == records
+    lines = outs["pretty"].splitlines()
+    assert len(lines) == 5
+    assert lines[0].split() == list(records[0])
+    for line, rec in zip(lines[1:], records):
+        assert line.endswith(rec["status"]) and '"' not in line
 
 
 def test_compare_row_count_and_flat_m0(capsys):
