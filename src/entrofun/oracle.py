@@ -4,7 +4,11 @@ This is the ground truth the asymptotic expansions are tested against.
 Each integral is split into segments delimited by the zeros of the
 polynomial (where |p|^kappa has integrable kinks and p^2 log p^2 has
 removable singularities) and integrated per segment with a tanh-sinh
-(double-exponential) rule under progressive step halving.
+(double-exponential) rule under progressive step halving (Takahasi and
+Mori, Publ. RIMS 9, 1974).  Each segment stores the running sum of every
+level it has evaluated, so refinement never evaluates a level twice, and
+the next levels of all unsettled segments are evaluated together, in
+batched calls of the integrand.
 
 All floating-point work happens after dividing the integrand by a log-space
 scale close to its peak, so magnitudes stay near unity even where the true
@@ -73,63 +77,106 @@ def _ts_level_nodes(level: int):
     return u[keep], one_minus[keep], one_plus[keep], w[keep]
 
 
-def _integrate_segment(f, lo: float, hi: float, tol_abs: float,
-                       min_level: int = 3):
-    """Tanh-sinh integration of f over [lo, hi] to absolute tolerance.
+def _settled(sums, min_level: int, tol: float):
+    """(value, err, converged) at the first stored level L >= min_level
+    with |S_L - S_(L-1)| <= tol, or at the finest level when none of them
+    qualifies; None while a level yet to be evaluated could still settle."""
+    for level in range(min_level, len(sums)):
+        err = abs(sums[level] - sums[level - 1])
+        if err <= tol:
+            return sums[level], err, True
+    if len(sums) == _MAX_LEVEL + 1:
+        return sums[-1], abs(sums[-1] - sums[-2]), False
+    return None
 
-    ``f(x, dist_lo, dist_hi)`` receives node positions plus their exact
-    distances to the segment endpoints and returns scaled integrand values.
-    Returns (value, err_estimate, n_evals, converged).
+
+def _evaluate_next_levels(integrand, bounds, sums, pending) -> int:
+    """Append the next level's running sum to every pending segment.
+
+    The nodes of all pending segments go to the integrand together, in
+    batches of at most one finest level's nodes, which bounds the memory of
+    a batch by that of a single segment.  Returns the number of nodes."""
+    cap = _ts_level_nodes(_MAX_LEVEL)[0].size
+    batches, size = [[]], 0
+    for i in pending:
+        n = _ts_level_nodes(len(sums[i]))[0].size
+        if size + n > cap:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += n
+    n_evals = 0
+    for batch in batches:
+        levels = [_ts_level_nodes(len(sums[i])) for i in batch]
+        counts = [w.size for _, _, _, w in levels]
+        lo = np.repeat([bounds[i] for i in batch], counts)
+        hi = np.repeat([bounds[i + 1] for i in batch], counts)
+        half = 0.5 * (hi - lo)
+        dist_lo = half * np.concatenate([one_p for _, _, one_p, _ in levels])
+        dist_hi = half * np.concatenate([one_m for _, one_m, _, _ in levels])
+        vals = integrand(lo + dist_lo, lo, hi, dist_lo, dist_hi)
+        a = 0
+        for i, (_, _, _, w) in zip(batch, levels):
+            b = a + w.size
+            contrib = 0.5 * (bounds[i + 1] - bounds[i]) * float(np.dot(w, vals[a:b]))
+            s = sums[i]
+            s.append(0.5 * s[-1] + contrib if s else contrib)
+            a = b
+        n_evals += lo.size
+    return n_evals
+
+
+def _refine_segments(integrand, bounds, tol_rel: float):
+    """Drive all segments to a collective relative tolerance.
+
+    Segment i is [bounds[i], bounds[i+1]] and keeps the running sum S_L of
+    every tanh-sinh level L it has evaluated.  A segment settles at its
+    first level L >= min_level with |S_L - S_(L-1)| <= tol, read from the
+    stored sums; only when no stored level qualifies is its next level
+    evaluated, together with that of every other such segment in batched
+    integrand calls.  A first pass settles every segment at level 3; up to
+    four rounds then settle, from level 4 on, the segments whose error
+    exceeds the round's share of the tolerance.  Each settles at the level
+    a from-scratch run would pick, but no level is evaluated twice.
     """
-    half = 0.5 * (hi - lo)
-    if half <= 0.0:
-        return 0.0, 0.0, 0, True
-    total = 0.0
+    n_seg = len(bounds) - 1
+    sums = [[] for _ in range(n_seg)]
     n_evals = 0
-    prev = None
-    err = math.inf
-    for level in range(_MAX_LEVEL + 1):
-        u, one_m, one_p, w = _ts_level_nodes(level)
-        dist_lo = half * one_p
-        dist_hi = half * one_m
-        x = lo + dist_lo
-        vals = f(x, dist_lo, dist_hi)
-        n_evals += x.size
-        contrib = half * float(np.dot(w, vals))
-        total = contrib if level == 0 else 0.5 * total + contrib
-        if level >= 1 and prev is not None:
-            err = abs(total - prev)
-            if level >= min_level and err <= tol_abs:
-                return total, err, n_evals, True
-        prev = total
-    return total, err, n_evals, False
 
+    def settle(indices, min_level, tol):
+        nonlocal n_evals
+        out = {}
+        pending = indices
+        while pending:
+            still = []
+            for i in pending:
+                r = _settled(sums[i], min_level, tol)
+                if r is None:
+                    still.append(i)
+                else:
+                    out[i] = r
+            if still:
+                n_evals += _evaluate_next_levels(integrand, bounds, sums, still)
+            pending = still
+        return out
 
-def _refine_segments(seg_funcs, tol_rel: float):
-    """Drive all segments to a collective relative tolerance."""
-    n_seg = len(seg_funcs)
-    ests = []
-    n_evals = 0
-    for f, lo, hi in seg_funcs:
-        v, e, n, _ = _integrate_segment(f, lo, hi, tol_abs=math.inf, min_level=3)
-        ests.append([v, e])
-        n_evals += n
-    scale = max(max(abs(v) for v, _ in ests), 1e-290)
-    for round_ in range(4):
-        total = math.fsum(v for v, _ in ests)
+    ests = [(0.0, 0.0, True)] * n_seg
+    live = [i for i in range(n_seg) if 0.5 * (bounds[i + 1] - bounds[i]) > 0.0]
+    for i, r in settle(live, 3, math.inf).items():
+        ests[i] = r
+    scale = max(max(abs(v) for v, _, _ in ests), 1e-290)
+    for _ in range(4):
+        total = math.fsum(v for v, _, _ in ests)
         target = 0.5 * tol_rel * max(abs(total), scale * 1e-4) / n_seg
-        done = True
-        for i, (f, lo, hi) in enumerate(seg_funcs):
-            if ests[i][1] > target:
-                v, e, n, ok = _integrate_segment(f, lo, hi, tol_abs=target,
-                                                 min_level=4)
-                ests[i] = [v, e]
-                n_evals += n
-                done = done and ok
-        if done and all(e <= target for _, e in ests):
+        redo = settle([i for i, (_, e, _) in enumerate(ests) if e > target],
+                      4, target)
+        for i, r in redo.items():
+            ests[i] = r
+        if (all(ok for _, _, ok in redo.values())
+                and all(e <= target for _, e, _ in ests)):
             break
-    total = math.fsum(v for v, _ in ests)
-    err = math.fsum(e for _, e in ests)
+    total = math.fsum(v for v, _, _ in ests)
+    err = math.fsum(e for _, e, _ in ests)
     return total, err, n_evals
 
 
@@ -167,9 +214,11 @@ def _lag_segments_and_scale(F: Functional):
     """Plain Laguerre families (weight x^(mu-1) e^(-lam x)).
 
     Like the other ``_*_segments_and_scale`` builders it returns the segment
-    bounds, the log scale, a factory ``make_integrand(lo, hi)`` of scaled
-    integrands for one segment, and the absolute tail truncated off the
-    last segment, in units of the scale."""
+    bounds, the log scale, the scaled integrand
+    ``integrand(x, lo, hi, dist_lo, dist_hi)`` (per-node arrays: the nodes,
+    the bounds of each node's segment and the node's exact distances to
+    them), and the absolute tail truncated off the last segment, in units
+    of the scale."""
     m, alpha, mu, lam, kappa = F.m, F.alpha, F.mu, F.lam, F.kappa
     log_pref = (kappa * m * math.log(alpha) + math.lgamma(mu)
                 - mu * math.log(lam) - kappa * math.lgamma(m + 1.0))
@@ -193,14 +242,14 @@ def _lag_segments_and_scale(F: Functional):
                  if z < x_hi]
     bounds = [0.0] + zeros + [x_hi]
 
-    def integrand(x, dist_lo, dist_hi):
+    def integrand(x, lo, hi, dist_lo, dist_hi):
         p = laguerre_value(m, alpha, x)
         logp = _log_abs_poly(p)
         core = (mu - 1.0) * np.log(x) - lam * x + kappa * logp - log_pref
         return _integrand_values(core, logp, F.kind.is_shannon)
 
     tail = math.exp(min(tail_log(x_hi) - log_pref, 0.0))
-    return bounds, log_pref, lambda lo, hi: integrand, tail
+    return bounds, log_pref, integrand, tail
 
 
 def _geg_segments_and_scale(F: Functional):
@@ -220,26 +269,19 @@ def _geg_segments_and_scale(F: Functional):
                 + (d * alpha + b) * np.log(one_plus_x)
                 + kappa * logp), logp
 
-    # probe for the scale in log space
-    probe_scale = -math.inf
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        xs = np.linspace(lo, hi, 17)[1:-1]
-        core, _ = log_core(xs, 1.0 - xs, 1.0 + xs)
-        probe_scale = max(probe_scale, float(np.max(core)))
-    log_pref = probe_scale
+    # probe for the scale in log space at 15 interior points of each segment
+    edges = np.array(bounds)
+    xs = np.linspace(edges[:-1], edges[1:], 17, axis=1)[:, 1:-1].ravel()
+    core, _ = log_core(xs, 1.0 - xs, 1.0 + xs)
+    log_pref = float(np.max(core))
 
-    def make_integrand(lo, hi):
-        gap_hi = 1.0 - hi   # exact distance from segment top to +1
-        gap_lo = 1.0 + lo   # exact distance from segment bottom to -1
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        # 1 - hi and 1 + lo are the exact distances from the segment's ends
+        # to +1 and -1, so 1 -/+ x keeps its digits next to the endpoints
+        core, logp = log_core(x, (1.0 - hi) + dist_hi, (1.0 + lo) + dist_lo)
+        return _integrand_values(core - log_pref, logp, F.kind.is_shannon)
 
-        def integrand(x, dist_lo, dist_hi):
-            one_minus_x = gap_hi + dist_hi
-            one_plus_x = gap_lo + dist_lo
-            core, logp = log_core(x, one_minus_x, one_plus_x)
-            return _integrand_values(core - log_pref, logp, F.kind.is_shannon)
-        return integrand
-
-    return bounds, log_pref, make_integrand, 0.0
+    return bounds, log_pref, integrand, 0.0
 
 
 def _ext_segments_and_scale(F: Functional):
@@ -253,12 +295,16 @@ def _ext_segments_and_scale(F: Functional):
         delta = u - u0
         return lam * delta - np.log1p(lam * delta)
 
-    if lam == 1.0:
-        poly_scale = kappa * (0.5 * m * math.log(alpha / 2.0)
-                              - math.lgamma(m + 1.0))
-    else:
-        poly_scale = kappa * (m * math.log(alpha) + m * math.log(abs(1.0 - u0))
-                              - math.lgamma(m + 1.0))
+    # the polynomial's size at the peak u0: ~ (alpha |1 - u0|)^m / m! away
+    # from lam = 1, ~ (alpha / 2)^(m/2) / m! at lam = 1; the larger of the
+    # two keeps the scale finite as lam -> 1
+    gap = abs(1.0 - u0)
+    poly_scale = kappa * (0.5 * m * math.log(alpha / 2.0)
+                          - math.lgamma(m + 1.0))
+    if gap > 0.0:
+        poly_scale = max(poly_scale,
+                         kappa * (m * math.log(alpha) + m * math.log(gap)
+                                  - math.lgamma(m + 1.0)))
     log_pref = log_front + (sigma - 1.0) * math.log(u0) + poly_scale
 
     def bound_log(u):
@@ -277,7 +323,7 @@ def _ext_segments_and_scale(F: Functional):
                  if z / alpha < u_hi]
     bounds = [0.0] + zeros + [u_hi]
 
-    def integrand(u, dist_lo, dist_hi):
+    def integrand(u, lo, hi, dist_lo, dist_hi):
         safe_u = np.where(u > 0.0, u, 1.0)
         p = laguerre_value(m, alpha, alpha * safe_u)
         logp = _log_abs_poly(p)
@@ -289,10 +335,10 @@ def _ext_segments_and_scale(F: Functional):
         return _integrand_values(core, logp, F.kind.is_shannon)
 
     tail = math.exp(min(bound_log(u_hi), 0.0))
-    return bounds, log_pref, lambda lo, hi: integrand, tail
+    return bounds, log_pref, integrand, tail
 
 
-def _quadrature(bounds, log_pref: float, make_integrand, tail: float,
+def _quadrature(bounds, log_pref: float, integrand, tail: float,
                 tol_rel: float, signed: bool, may_vanish: bool) -> QuadResult:
     """Integrate the scaled integrand over every segment, certify the
     tolerance and undo the scale.
@@ -300,12 +346,14 @@ def _quadrature(bounds, log_pref: float, make_integrand, tail: float,
     ``signed`` allows a negative total (Shannon integrands change sign);
     ``may_vanish`` accepts an exactly zero total as the value zero.
     """
-    seg_funcs = [(make_integrand(lo, hi), lo, hi)
-                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-    total, err, n_evals = _refine_segments(seg_funcs, tol_rel)
+    total, err, n_evals = _refine_segments(integrand, bounds, tol_rel)
     err += tail
     segments = tuple(zip(bounds[:-1], bounds[1:]))
 
+    if not (math.isfinite(total) and math.isfinite(err)):
+        raise QuadratureError(
+            f"non-finite estimate {total} with error {err} after {n_evals} "
+            "evaluations")
     if total == 0.0:
         if may_vanish:
             return QuadResult(LogValue.zero(), -math.inf, n_evals, segments)
@@ -363,11 +411,11 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
         core = -probe ** 2 + kappa * _log_abs_poly(hp)
     log_pref = float(np.max(core))
 
-    def integrand(t, dist_lo, dist_hi):
+    def integrand(t, lo, hi, dist_lo, dist_hi):
         logp = _log_abs_poly(hermite_value(m, t))
         return _integrand_values(-t * t + kappa * logp - log_pref, logp, False)
 
-    q = _quadrature(bounds, log_pref, lambda lo, hi: integrand, 0.0, tol_rel,
+    q = _quadrature(bounds, log_pref, integrand, 0.0, tol_rel,
                     signed=False, may_vanish=False)
     log_jac = 0.5 * (math.log(2.0) - math.log(alpha_scale))
     return QuadResult(LogValue(1, q.value.log_abs + log_jac), q.abs_err_log + log_jac,

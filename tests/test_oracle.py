@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+import entrofun.oracle as oracle
 from entrofun.closedforms import (geg22_value, geg31_value, lag24_value,
                                   log_gamma, more15_value, more24_value)
 from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
-from entrofun.oracle import (hermite_power_integral, integrate_functional,
-                             shannon_integrand_value)
-from entrofun.orthopoly import polynomial_zeros
+from entrofun.oracle import (QuadratureError, hermite_power_integral,
+                             integrate_functional, shannon_integrand_value)
+from entrofun.orthopoly import gegenbauer_value, polynomial_zeros
 
 
 def test_tolerance_range_enforced():
@@ -110,6 +112,219 @@ def test_gegenbauer_weight_integrability_guard():
     with pytest.raises(ValueError):
         integrate_functional(Functional.geg_renyi(1, 0.2, -2.0, 0.0, 1.0,
                                                   2.0, 2.0), 1e-10)
+
+
+def test_ext_lambda_near_one_matches_lambda_one():
+    # the log scale must stay finite as lam -> 1; a scale of m log|1 - 1/lam|
+    # overflowed the scaled integrand and certified an infinite value
+    ref = integrate_functional(Functional.ext_renyi(8, 400.0, 1.0, 1.0, 4.0),
+                               1e-10)
+    for lam in (1.0 - 1e-12, 1.0 + 1e-12):
+        q = integrate_functional(Functional.ext_renyi(8, 400.0, 1.0, lam, 4.0),
+                                 1e-10)
+        assert math.isfinite(q.value.log_abs)
+        assert q.value.rel_diff(ref.value) <= 1e-9
+
+
+@pytest.mark.parametrize("fill", [math.inf, math.nan])
+def test_non_finite_integrand_raises(fill):
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        return np.full(x.shape, fill)
+    with pytest.raises(QuadratureError):
+        oracle._quadrature([0.0, 0.5, 1.0], 0.0, integrand, 0.0, 1e-10,
+                           signed=False, may_vanish=False)
+
+
+# ---------------------------------------------------------------------------
+# The batched level driver against a segment-by-segment reference
+# ---------------------------------------------------------------------------
+
+def _reference_integrate_segment(f, lo, hi, tol_abs, min_level=3):
+    """Tanh-sinh on one segment, every level from 0 up, until the first
+    level >= min_level whose change is <= tol_abs."""
+    half = 0.5 * (hi - lo)
+    if half <= 0.0:
+        return 0.0, 0.0, 0, True
+    total = 0.0
+    n_evals = 0
+    prev = None
+    err = math.inf
+    for level in range(oracle._MAX_LEVEL + 1):
+        u, one_m, one_p, w = oracle._ts_level_nodes(level)
+        dist_lo = half * one_p
+        dist_hi = half * one_m
+        x = lo + dist_lo
+        vals = f(x, dist_lo, dist_hi)
+        n_evals += x.size
+        contrib = half * float(np.dot(w, vals))
+        total = contrib if level == 0 else 0.5 * total + contrib
+        if level >= 1 and prev is not None:
+            err = abs(total - prev)
+            if level >= min_level and err <= tol_abs:
+                return total, err, n_evals, True
+        prev = total
+    return total, err, n_evals, False
+
+
+def _reference_refine_segments(integrand, bounds, tol_rel):
+    """One segment at a time, each refinement restarting from level 0."""
+    seg_funcs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        def f(x, dist_lo, dist_hi, lo=lo, hi=hi):
+            return integrand(x, np.full(x.shape, lo), np.full(x.shape, hi),
+                             dist_lo, dist_hi)
+        seg_funcs.append((f, lo, hi))
+    n_seg = len(seg_funcs)
+    ests = []
+    n_evals = 0
+    for f, lo, hi in seg_funcs:
+        v, e, n, _ = _reference_integrate_segment(f, lo, hi, math.inf, 3)
+        ests.append([v, e])
+        n_evals += n
+    scale = max(max(abs(v) for v, _ in ests), 1e-290)
+    for _ in range(4):
+        total = math.fsum(v for v, _ in ests)
+        target = 0.5 * tol_rel * max(abs(total), scale * 1e-4) / n_seg
+        done = True
+        for i, (f, lo, hi) in enumerate(seg_funcs):
+            if ests[i][1] > target:
+                v, e, n, ok = _reference_integrate_segment(f, lo, hi, target, 4)
+                ests[i] = [v, e]
+                n_evals += n
+                done = done and ok
+        if done and all(e <= target for _, e in ests):
+            break
+    total = math.fsum(v for v, _ in ests)
+    err = math.fsum(e for _, e in ests)
+    return total, err, n_evals
+
+
+def _with_both_drivers(monkeypatch, compute):
+    """compute() under the batched driver and under the reference; each
+    result is a QuadResult, or None when the tolerance is not certified."""
+    def run():
+        try:
+            return compute()
+        except QuadratureError:
+            return None
+    new = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_refine_segments", _reference_refine_segments)
+        ref = run()
+    return new, ref
+
+
+def _assert_same_result(new, ref):
+    assert (new is None) == (ref is None)
+    if new is not None:
+        assert ((new.value.sign, new.value.log_abs, new.abs_err_log, new.segments)
+                == (ref.value.sign, ref.value.log_abs, ref.abs_err_log,
+                    ref.segments))
+        assert new.n_evals <= ref.n_evals
+
+
+_DRIVER_CASES = {
+    "lag_renyi": lambda m: Functional.lag_renyi(m, 300.0, 2.5, 1.3, 1.7),
+    "lag_shannon": lambda m: Functional.lag_shannon(m, 300.0, 2.5, 0.8),
+    "geg_renyi": lambda m: Functional.geg_renyi(m, 300.0, 0.2, 1.3, 1.0, 2.0, 1.7),
+    "geg_shannon": lambda m: Functional.geg_shannon(m, 300.0, -0.5, -0.5, 1.0, 3.0),
+    "ext_renyi": lambda m: Functional.ext_renyi(m, 300.0, 1.5, 2.0, 2.5),
+    "ext_shannon": lambda m: Functional.ext_shannon(m, 300.0, 1.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 60])
+@pytest.mark.parametrize("kind", sorted(_DRIVER_CASES))
+def test_batched_driver_matches_reference(monkeypatch, kind, m, tol):
+    F = _DRIVER_CASES[kind](m)
+    _assert_same_result(*_with_both_drivers(
+        monkeypatch, lambda: integrate_functional(F, tol)))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("m,kappa", [(0, 1.3), (1, 2.0), (5, 0.7), (20, 2.0)])
+def test_batched_driver_matches_reference_hermite(monkeypatch, m, kappa, tol):
+    _assert_same_result(*_with_both_drivers(
+        monkeypatch, lambda: hermite_power_integral(m, kappa, 50.0, tol)))
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_shannon(2, 15489.82852270537, 1.378472128709452,
+                           1.0845884091541484, 1.1279678137420943,
+                           1.8830462348676853),
+    Functional.ext_shannon(3, 6008.539565318632, 1.1842641468601185,
+                           0.6032288538205103),
+])
+def test_batched_driver_settles_on_stored_levels(monkeypatch, F):
+    # here a round's target grows after segments ran to the finest level,
+    # so a from-scratch rerun settles at a level below the finest one: the
+    # stored sums must be searched from level 4, not only the newest one
+    _assert_same_result(*_with_both_drivers(
+        monkeypatch, lambda: integrate_functional(F, 1e-12)))
+
+
+def test_batched_driver_evaluates_no_level_twice(monkeypatch):
+    # a refinement round that reruns a segment from level 0 pays for its
+    # low levels again; stored level sums make it strictly cheaper
+    F = Functional.geg_shannon(20, 300.0, -0.5, -0.5, 1.0, 3.0)
+    new, ref = _with_both_drivers(monkeypatch,
+                                  lambda: integrate_functional(F, 1e-12))
+    assert new.n_evals < ref.n_evals
+
+
+def test_gegenbauer_scale_probe_matches_per_segment_loop():
+    F = Functional.geg_renyi(20, 300.0, 0.2, 1.3, 1.0, 2.0, 1.7)
+    bounds, log_pref, _, _ = oracle._geg_segments_and_scale(F)
+    expect = -math.inf
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        xs = np.linspace(lo, hi, 17)[1:-1]
+        p = gegenbauer_value(F.m, F.alpha, xs)
+        core = ((F.c * F.alpha + F.a) * np.log(1.0 - xs)
+                + (F.d * F.alpha + F.b) * np.log(1.0 + xs)
+                + F.kappa * np.log(np.abs(p)))
+        expect = max(expect, float(np.max(core)))
+    assert log_pref == expect
+
+
+def test_batches_of_deep_levels_stay_within_one_finest_level():
+    # a kink inside every one of 40 segments drives all of them to deep
+    # levels at once, where their pending nodes exceed one finest level
+    cap = oracle._ts_level_nodes(oracle._MAX_LEVEL)[0].size
+    sizes = []
+
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        sizes.append(x.size)
+        return np.sqrt(np.abs(x - 0.5 * (lo + hi)))
+    bounds = [float(b) for b in np.linspace(0.0, 1.0, 41)]
+    total, err, n_evals = oracle._refine_segments(integrand, bounds, 1e-12)
+    assert max(sizes) <= cap
+    assert sum(sizes) == n_evals
+    assert 40 * oracle._ts_level_nodes(6)[0].size > cap
+    ref = _reference_refine_segments(integrand, bounds, 1e-12)
+    assert (total, err) == ref[:2] and n_evals <= ref[2]
+
+
+@pytest.mark.parametrize("name,F", [
+    ("laguerre_value", Functional.lag_shannon(60, 300.0, 2.5, 0.8)),
+    ("gegenbauer_value", Functional.geg_shannon(60, 300.0, -0.5, -0.5, 1.0, 3.0)),
+    ("laguerre_value", Functional.ext_renyi(60, 300.0, 1.5, 2.0, 2.5)),
+])
+def test_batched_integrand_calls_stay_within_one_finest_level(monkeypatch, name, F):
+    cap = oracle._ts_level_nodes(oracle._MAX_LEVEL)[0].size
+    assert cap == 24986
+    sizes = []
+    value = getattr(oracle, name)
+
+    def counting(m, alpha, x):
+        sizes.append(np.size(x))
+        return value(m, alpha, x)
+    monkeypatch.setattr(oracle, name, counting)
+    q = integrate_functional(F, 1e-12)
+    n_calls = len(sizes) - (name == "gegenbauer_value")   # the scale probe
+    assert max(sizes) <= cap
+    # one call per level of all pending segments, not one per segment
+    assert n_calls < len(q.segments)
 
 
 # ---------------------------------------------------------------------------
