@@ -32,6 +32,10 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-6
 _T_MAX = 6.1
 _H0 = 0.5
 _MAX_LEVEL = 11
+# the node count of one segment's finest level, _ts_level_nodes(_MAX_LEVEL),
+# as a constant: building that level costs ~5 ms and ~2.7 MB of temporaries
+# in a process whose integrals never reach it
+_BATCH_NODES = 24986
 
 
 class QuadratureError(RuntimeError):
@@ -94,31 +98,31 @@ def _evaluate_next_levels(integrand, bounds, sums, pending) -> int:
     """Append the next level's running sum to every pending segment.
 
     The nodes of all pending segments go to the integrand together, in
-    batches of at most one finest level's nodes, which bounds the memory of
-    a batch by that of a single segment.  Returns the number of nodes."""
-    cap = _ts_level_nodes(_MAX_LEVEL)[0].size
+    batches of at most one finest level's nodes (``_BATCH_NODES``), which
+    bounds the memory of a batch by that of a single segment.  Returns the
+    number of nodes."""
     batches, size = [[]], 0
     for i in pending:
-        n = _ts_level_nodes(len(sums[i]))[0].size
-        if size + n > cap:
+        nodes = _ts_level_nodes(len(sums[i]))
+        if size + nodes[3].size > _BATCH_NODES:
             batches.append([])
             size = 0
-        batches[-1].append(i)
-        size += n
+        batches[-1].append((i, nodes))
+        size += nodes[3].size
     n_evals = 0
     for batch in batches:
-        levels = [_ts_level_nodes(len(sums[i])) for i in batch]
-        counts = [w.size for _, _, _, w in levels]
-        lo = np.repeat([bounds[i] for i in batch], counts)
-        hi = np.repeat([bounds[i + 1] for i in batch], counts)
+        counts = [w.size for _, (_, _, _, w) in batch]
+        lo = np.repeat([bounds[i] for i, _ in batch], counts)
+        hi = np.repeat([bounds[i + 1] for i, _ in batch], counts)
         half = 0.5 * (hi - lo)
-        dist_lo = half * np.concatenate([one_p for _, _, one_p, _ in levels])
-        dist_hi = half * np.concatenate([one_m for _, one_m, _, _ in levels])
+        dist_lo = half * np.concatenate([one_p for _, (_, _, one_p, _) in batch])
+        dist_hi = half * np.concatenate([one_m for _, (_, one_m, _, _) in batch])
         vals = integrand(lo + dist_lo, lo, hi, dist_lo, dist_hi)
         a = 0
-        for i, (_, _, _, w) in zip(batch, levels):
+        for i, (_, _, _, w) in batch:
             b = a + w.size
-            contrib = 0.5 * (bounds[i + 1] - bounds[i]) * float(np.dot(w, vals[a:b]))
+            half_i = 0.5 * (bounds[i + 1] - bounds[i])
+            contrib = half_i * float(np.dot(w, vals[a:b]))
             s = sums[i]
             s.append(0.5 * s[-1] + contrib if s else contrib)
             a = b

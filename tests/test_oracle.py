@@ -287,10 +287,15 @@ def test_gegenbauer_scale_probe_matches_per_segment_loop():
     assert log_pref == expect
 
 
+def test_batch_cap_is_one_finest_level():
+    assert oracle._BATCH_NODES == oracle._ts_level_nodes(oracle._MAX_LEVEL)[0].size
+    assert oracle._BATCH_NODES == 24986
+
+
 def test_batches_of_deep_levels_stay_within_one_finest_level():
     # a kink inside every one of 40 segments drives all of them to deep
     # levels at once, where their pending nodes exceed one finest level
-    cap = oracle._ts_level_nodes(oracle._MAX_LEVEL)[0].size
+    cap = oracle._BATCH_NODES
     sizes = []
 
     def integrand(x, lo, hi, dist_lo, dist_hi):
@@ -311,8 +316,7 @@ def test_batches_of_deep_levels_stay_within_one_finest_level():
     ("laguerre_value", Functional.ext_renyi(60, 300.0, 1.5, 2.0, 2.5)),
 ])
 def test_batched_integrand_calls_stay_within_one_finest_level(monkeypatch, name, F):
-    cap = oracle._ts_level_nodes(oracle._MAX_LEVEL)[0].size
-    assert cap == 24986
+    cap = oracle._BATCH_NODES
     sizes = []
     value = getattr(oracle, name)
 
