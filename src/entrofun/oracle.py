@@ -82,15 +82,15 @@ def _ts_level_nodes(level: int):
 
 
 def _settled(sums, min_level: int, tol: float):
-    """(value, err, converged) at the first stored level L >= min_level
-    with |S_L - S_(L-1)| <= tol, or at the finest level when none of them
+    """(value, err) at the first stored level L >= min_level with
+    |S_L - S_(L-1)| <= tol, or at the finest level when none of them
     qualifies; None while a level yet to be evaluated could still settle."""
     for level in range(min_level, len(sums)):
         err = abs(sums[level] - sums[level - 1])
         if err <= tol:
-            return sums[level], err, True
+            return sums[level], err
     if len(sums) == _MAX_LEVEL + 1:
-        return sums[-1], abs(sums[-1] - sums[-2]), False
+        return sums[-1], abs(sums[-1] - sums[-2])
     return None
 
 
@@ -145,12 +145,11 @@ def _refine_segments(integrand, bounds, tol_rel: float):
     """
     n_seg = len(bounds) - 1
     sums = [[] for _ in range(n_seg)]
+    ests = [(0.0, 0.0)] * n_seg
     n_evals = 0
 
-    def settle(indices, min_level, tol):
+    def settle(pending, min_level, tol):
         nonlocal n_evals
-        out = {}
-        pending = indices
         while pending:
             still = []
             for i in pending:
@@ -158,29 +157,24 @@ def _refine_segments(integrand, bounds, tol_rel: float):
                 if r is None:
                     still.append(i)
                 else:
-                    out[i] = r
+                    ests[i] = r
             if still:
                 n_evals += _evaluate_next_levels(integrand, bounds, sums, still)
             pending = still
-        return out
 
-    ests = [(0.0, 0.0, True)] * n_seg
-    live = [i for i in range(n_seg) if 0.5 * (bounds[i + 1] - bounds[i]) > 0.0]
-    for i, r in settle(live, 3, math.inf).items():
-        ests[i] = r
-    scale = max(max(abs(v) for v, _, _ in ests), 1e-290)
-    for _ in range(4):
-        total = math.fsum(v for v, _, _ in ests)
+    settle([i for i in range(n_seg) if 0.5 * (bounds[i + 1] - bounds[i]) > 0.0],
+           3, math.inf)
+    scale = max(max(abs(v) for v, _ in ests), 1e-290)
+    for round_ in range(4):
+        total = math.fsum(v for v, _ in ests)
         target = 0.5 * tol_rel * max(abs(total), scale * 1e-4) / n_seg
-        redo = settle([i for i, (_, e, _) in enumerate(ests) if e > target],
-                      4, target)
-        for i, r in redo.items():
-            ests[i] = r
-        if (all(ok for _, _, ok in redo.values())
-                and all(e <= target for _, e, _ in ests)):
+        # a segment left at the finest level keeps an error above target,
+        # so this test also covers the ones that did not converge
+        settle([i for i, (_, e) in enumerate(ests) if e > target], 4, target)
+        if all(e <= target for _, e in ests):
             break
-    total = math.fsum(v for v, _, _ in ests)
-    err = math.fsum(e for _, e, _ in ests)
+    total = math.fsum(v for v, _ in ests)
+    err = math.fsum(e for _, e in ests)
     return total, err, n_evals
 
 
