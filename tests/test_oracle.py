@@ -136,7 +136,7 @@ def test_non_finite_integrand_raises(fill):
 
 
 # ---------------------------------------------------------------------------
-# The batched level driver against a segment-by-segment reference
+# Batched level refinement against a segment-by-segment reference
 # ---------------------------------------------------------------------------
 
 def _reference_integrate_segment(f, lo, hi, tol_abs, min_level=3):
@@ -199,8 +199,8 @@ def _reference_refine_segments(integrand, bounds, tol_rel):
     return total, err, n_evals
 
 
-def _with_both_drivers(monkeypatch, compute):
-    """compute() under the batched driver and under the reference; each
+def _with_both_refinements(monkeypatch, compute):
+    """compute() under the batched refinement and under the reference; each
     result is a QuadResult, or None when the tolerance is not certified."""
     def run():
         try:
@@ -223,7 +223,7 @@ def _assert_same_result(new, ref):
         assert new.n_evals <= ref.n_evals
 
 
-_DRIVER_CASES = {
+_REFINE_CASES = {
     "lag_renyi": lambda m: Functional.lag_renyi(m, 300.0, 2.5, 1.3, 1.7),
     "lag_shannon": lambda m: Functional.lag_shannon(m, 300.0, 2.5, 0.8),
     "geg_renyi": lambda m: Functional.geg_renyi(m, 300.0, 0.2, 1.3, 1.0, 2.0, 1.7),
@@ -235,17 +235,17 @@ _DRIVER_CASES = {
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 @pytest.mark.parametrize("m", [0, 1, 5, 20, 60])
-@pytest.mark.parametrize("kind", sorted(_DRIVER_CASES))
-def test_batched_driver_matches_reference(monkeypatch, kind, m, tol):
-    F = _DRIVER_CASES[kind](m)
-    _assert_same_result(*_with_both_drivers(
+@pytest.mark.parametrize("kind", sorted(_REFINE_CASES))
+def test_batched_refinement_matches_reference(monkeypatch, kind, m, tol):
+    F = _REFINE_CASES[kind](m)
+    _assert_same_result(*_with_both_refinements(
         monkeypatch, lambda: integrate_functional(F, tol)))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 @pytest.mark.parametrize("m,kappa", [(0, 1.3), (1, 2.0), (5, 0.7), (20, 2.0)])
-def test_batched_driver_matches_reference_hermite(monkeypatch, m, kappa, tol):
-    _assert_same_result(*_with_both_drivers(
+def test_batched_refinement_matches_reference_hermite(monkeypatch, m, kappa, tol):
+    _assert_same_result(*_with_both_refinements(
         monkeypatch, lambda: hermite_power_integral(m, kappa, 50.0, tol)))
 
 
@@ -256,19 +256,19 @@ def test_batched_driver_matches_reference_hermite(monkeypatch, m, kappa, tol):
     Functional.ext_shannon(3, 6008.539565318632, 1.1842641468601185,
                            0.6032288538205103),
 ])
-def test_batched_driver_settles_on_stored_levels(monkeypatch, F):
+def test_batched_refinement_settles_on_stored_levels(monkeypatch, F):
     # here a round's target grows after segments ran to the finest level,
     # so a from-scratch rerun settles at a level below the finest one: the
     # stored sums must be searched from level 4, not only the newest one
-    _assert_same_result(*_with_both_drivers(
+    _assert_same_result(*_with_both_refinements(
         monkeypatch, lambda: integrate_functional(F, 1e-12)))
 
 
-def test_batched_driver_evaluates_no_level_twice(monkeypatch):
+def test_batched_refinement_evaluates_no_level_twice(monkeypatch):
     # a refinement round that reruns a segment from level 0 pays for its
     # low levels again; stored level sums make it strictly cheaper
     F = Functional.geg_shannon(20, 300.0, -0.5, -0.5, 1.0, 3.0)
-    new, ref = _with_both_drivers(monkeypatch,
+    new, ref = _with_both_refinements(monkeypatch,
                                   lambda: integrate_functional(F, 1e-12))
     assert new.n_evals < ref.n_evals
 
