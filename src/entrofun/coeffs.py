@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .closedforms import HyperTerm, hyper_terminating
 from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series,
                      series_pow)
 
@@ -69,17 +68,6 @@ def f_sequence(m: int, alpha: float, n_max: int) -> list[float]:
     for n in range(1, n_max):
         f.append(((m - n) * f[n] - alpha * f[n - 1]) / (n + 1.0))
     return f
-
-
-def f_value_kummer(n: int, m: int, alpha: float) -> float:
-    """f_n(m; alpha) from the Kummer representation: a cross-check route."""
-    binom = _poch_float(alpha + m - n + 1.0, n) / math.factorial(n)
-    f1 = hyper_terminating(HyperTerm(
-        upper=(-float(n),),
-        lower=(alpha + m + 1.0 - n,),
-        argument=alpha,
-    ))
-    return binom * f1.to_float()
 
 
 def g_coeffs(m: int, t: float) -> list[float]:
@@ -343,24 +331,23 @@ def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
     if lam == 1.0:
         raise ValueError("lambda = 1 is the symmetric branch; no Laplace "
                          "amplitude of this form exists there")
-    x0, s = ext_saddle_x(lam, order + 1)
-    w = s.order
-    x_ratio = (Series.constant(x0, w) + s) * (1.0 / x0)
-    wser = (Series.constant(1.0 - x0, w) - s) * (1.0 / (1.0 - x0))
+    x0, s = ext_saddle_x(lam, order)  # s.order == order + 1, for dx/dy
     dxdy = s.deriv()
+    s = s.truncate(order)
+    x_ratio = (Series.constant(x0, order) + s) * (1.0 / x0)
+    wser = (Series.constant(1.0 - x0, order) - s) * (1.0 / (1.0 - x0))
     f = f_sequence(m, alpha, m)
     inv = series_pow(wser, -1.0) * (1.0 / (alpha * (1.0 - x0)))
-    t = Series.constant(1.0, w)
-    inv_n = Series.constant(1.0, w)
+    t = Series.constant(1.0, order)
+    inv_n = Series.constant(1.0, order)
     for n in range(1, m + 1):
         inv_n = inv_n * inv
         t = t + inv_n * (_falling(m, n) * f[n])
     if t.coeffs[0] <= 0.0:
         raise ValueError(f"alpha = {alpha} is too small for the lambda != 1 "
                          f"expansion at m={m} (bracket series not positive)")
-    amp = (series_pow(x_ratio, sigma - 1.0) * series_pow(wser, kappa * m)
-           * series_pow(t, kappa) * dxdy) * (1.0 / x0)
-    return amp.truncate(order)
+    return (series_pow(x_ratio, sigma - 1.0) * series_pow(wser, kappa * m)
+            * series_pow(t, kappa) * dxdy) * (1.0 / x0)
 
 
 def ext_lag_D(k: int, sigma: float, lam: float, kappa: float, m: int) -> float:

@@ -371,10 +371,14 @@ def _quadrature(bounds, log_pref: float, integrand, tail: float,
 # public operations
 # ---------------------------------------------------------------------------
 
-def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
-    """Evaluate the integral described by ``F`` to relative tolerance."""
+def _check_tol(tol_rel: float) -> None:
     if not (TOL_MIN <= tol_rel <= TOL_MAX):
         raise ValueError(f"tol_rel must lie in [{TOL_MIN}, {TOL_MAX}]")
+
+
+def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
+    """Evaluate the integral described by ``F`` to relative tolerance."""
+    _check_tol(tol_rel)
     if F.kind.is_gegenbauer:
         build = _geg_segments_and_scale
     elif F.kind in (Kind.LAG_RENYI, Kind.LAG_SHANNON):
@@ -389,6 +393,7 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
                            tol_rel: float = 1e-11) -> QuadResult:
     """integral of exp(-alpha y^2 / 2) |H_m(y sqrt(alpha/2))|^kappa over R,
     computed in the substituted variable t = y sqrt(alpha/2)."""
+    _check_tol(tol_rel)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if alpha_scale <= 0:

@@ -2,8 +2,10 @@
 
 This is the engine that regenerates the saddle-point and Watson's-lemma
 coefficient ladders to arbitrary order: Cauchy products and quotients,
-composition, real powers, compositional reversion, and the quadratic
-change of variable that normalises a phase function to y^2/2.
+logarithms and real powers, compositional reversion by Lagrange inversion,
+and the quadratic change of variable that normalises a phase function to
+y^2/2.  There is no composition engine: reversion needs only products and
+one quotient.
 
 A :class:`Series` is a plain tuple of double coefficients with an explicit
 truncation order; operations never silently extend the order, results carry
@@ -114,32 +116,6 @@ class Series:
         return Series((0.0,) + self.coeffs)
 
 
-def series_compose(f: Series, g: Series) -> Series:
-    """f(g(y)) truncated at min(f.order, g.order); g must have g(0) = 0."""
-    if g.coeffs[0] != 0.0:
-        raise ValueError("composition requires the inner series to vanish at 0")
-    n = min(f.order, g.order)
-    return _compose_at(f, g, n)
-
-
-def _compose_at(f: Series, g: Series, n: int) -> Series:
-    gt = g.truncate(n)
-    res = Series.constant(f.coeff(min(f.order, n)), n)
-    for k in range(min(f.order, n) - 1, -1, -1):
-        res = res * gt
-        res = Series(tuple((res.coeffs[0] + f.coeffs[k],) + res.coeffs[1:]))
-    return res
-
-
-def series_exp(a: Series) -> Series:
-    n = a.order
-    out = [0.0] * (n + 1)
-    out[0] = math.exp(a.coeffs[0])
-    for k in range(1, n + 1):
-        out[k] = math.fsum(j * a.coeffs[j] * out[k - j] for j in range(1, k + 1)) / k
-    return Series(tuple(out))
-
-
 def series_log(a: Series) -> Series:
     if a.coeffs[0] <= 0.0:
         raise ValueError("series log requires a positive constant term")
@@ -168,18 +144,26 @@ def series_pow(a: Series, rho: float) -> Series:
 
 
 def series_revert(f: Series) -> Series:
-    """Compositional inverse g with f(g(y)) = y to the truncation order."""
+    """Compositional inverse g with f(g(y)) = y to the truncation order.
+
+    By Lagrange inversion, writing f(s) = s h(s) with h(0) = f_1 != 0,
+
+        [y^k] g = (1/k) [s^(k-1)] q(s)^k,   q = 1/h,   k = 1..n,
+
+    so one series division and n - 1 running products of q give every
+    coefficient.  Coefficient k depends only on f_1..f_k.
+    """
     if f.coeffs[0] != 0.0:
         raise ValueError("reversion requires a zero constant term")
     if f.coeffs[1] == 0.0:
         raise ValueError("reversion requires a nonzero linear coefficient")
     n = f.order
-    g = [0.0] * (n + 1)
-    if n >= 1:
-        g[1] = 1.0 / f.coeffs[1]
+    q = Series.constant(1.0, n - 1) / Series(f.coeffs[1:])
+    g = [0.0, q[0]]
+    q_k = q
     for k in range(2, n + 1):
-        h = _compose_at(f, Series(tuple(g[:k + 1])), k)
-        g[k] = -h.coeffs[k] / f.coeffs[1]
+        q_k = q_k * q
+        g.append(q_k[k - 1] / k)
     return Series(tuple(g))
 
 
@@ -223,9 +207,3 @@ def laplace_terms(amplitude: Series, alpha: float, K: int) -> list[float]:
                          f"for K={K} (need >= {2 * K})")
     return [amplitude.coeffs[2 * k] * _double_factorial_odd(k) / alpha ** k
             for k in range(K + 1)]
-
-
-def laplace_sum(amplitude: Series, alpha: float, K: int) -> float:
-    """The dimensionless Laplace bracket; the caller applies sqrt(2 pi/alpha)
-    and the exponential prefactor in log space."""
-    return math.fsum(laplace_terms(amplitude, alpha, K))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from entrofun import coeffs as cf
+from entrofun.closedforms import HyperTerm, hyper_terminating
 from entrofun.functional import Functional
 from entrofun.oracle import integrate_functional
 from entrofun.orthopoly import laguerre_value
-from entrofun.series import Series, _double_factorial_odd, laplace_sum, series_pow
+from entrofun.series import Series, _double_factorial_odd, series_pow
+from series_reference import laplace_sum
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +46,17 @@ def test_f_sequence_matches_kummer_route():
                 assert f[n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
+def f_value_kummer(n: int, m: int, alpha: float) -> float:
+    """f_n(m; alpha) from the Kummer representation: a cross-check route."""
+    binom = cf._poch_float(alpha + m - n + 1.0, n) / math.factorial(n)
+    f1 = hyper_terminating(HyperTerm(
+        upper=(-float(n),),
+        lower=(alpha + m + 1.0 - n,),
+        argument=alpha,
+    ))
+    return binom * f1.to_float()
+
+
 def test_f_value_kummer_double_route():
     # the double-precision route agrees up to its cancellation conditioning
     for m in (0, 2, 5):
@@ -59,7 +72,7 @@ def test_f_value_kummer_double_route():
                     absd += abs(t)
                     t *= (-n + j) * alpha / ((b + j) * (j + 1))
                 cond = absd / max(abs(tot), 1e-300)
-                ref = cf.f_value_kummer(n, m, alpha)
+                ref = f_value_kummer(n, m, alpha)
                 tol = 1e-12 * max(10.0, cond)
                 assert f[n] == pytest.approx(ref, rel=tol, abs=tol)
 
@@ -525,6 +538,38 @@ def test_ext_saddle_first_coefficients():
               1 / (4320 * lam)]
     for k, want in enumerate(expect, start=1):
         assert s.coeffs[k] == pytest.approx(want, rel=1e-11)
+
+
+def _ext_lag_amplitude_deep(sigma, lam, kappa, m, alpha, order):
+    """ext_lag_amplitude with every series carried two orders past
+    ``order`` and truncated at the end."""
+    x0, s = cf.ext_saddle_x(lam, order + 1)
+    w = s.order
+    x_ratio = (Series.constant(x0, w) + s) * (1.0 / x0)
+    wser = (Series.constant(1.0 - x0, w) - s) * (1.0 / (1.0 - x0))
+    f = cf.f_sequence(m, alpha, m)
+    inv = series_pow(wser, -1.0) * (1.0 / (alpha * (1.0 - x0)))
+    t = Series.constant(1.0, w)
+    inv_n = Series.constant(1.0, w)
+    for n in range(1, m + 1):
+        inv_n = inv_n * inv
+        t = t + inv_n * (cf._falling(m, n) * f[n])
+    amp = (series_pow(x_ratio, sigma - 1.0) * series_pow(wser, kappa * m)
+           * series_pow(t, kappa) * s.deriv()) * (1.0 / x0)
+    return amp.truncate(order)
+
+
+def test_ext_lag_amplitude_bitwise_matches_deeper_build():
+    # coefficient k of every series involved depends only on coefficients
+    # 0..k of its inputs, so building at the output order changes no bit
+    rng = random.Random(20261018)
+    for _ in range(40):
+        lam = rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.1, 3.0)])
+        args = (rng.uniform(0.3, 2.5), lam, rng.uniform(0.5, 3.0),
+                rng.randint(0, 8), 10.0 ** rng.uniform(2.5, 4.0))
+        for order in (0, 2, 6, 14):
+            assert (cf.ext_lag_amplitude(*args, order).coeffs
+                    == _ext_lag_amplitude_deep(*args, order).coeffs)
 
 
 def test_ext_amplitude_rejects_symmetric_lambda():

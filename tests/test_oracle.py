@@ -19,6 +19,9 @@ def test_tolerance_range_enforced():
         integrate_functional(F, 1e-5)
     with pytest.raises(ValueError):
         integrate_functional(F, 1e-14)
+    for tol in (1e-20, 0.9):
+        with pytest.raises(ValueError):
+            hermite_power_integral(2, 2.0, 50.0, tol)
 
 
 def test_lag_renyi_m0_exact():

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofun.series import (Series, laplace_sum, laplace_terms, saddle_series,
-                             series_compose, series_exp, series_log,
+from entrofun.series import (Series, laplace_terms, saddle_series, series_log,
                              series_pow, series_revert)
+from series_reference import laplace_sum, series_compose, series_exp
 
 
 def coeffs_close(s: Series, expect, tol=1e-12):
@@ -125,6 +125,20 @@ def test_revert_rejects_bad_leading_terms():
         series_revert(Series((0.0, 0.0, 1.0)))
 
 
+def test_revert_uses_one_product_per_coefficient(monkeypatch):
+    # Lagrange inversion: one product of q = 1/h per new coefficient
+    calls = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    series_revert(Series.from_coeffs([0.0, 1.3, -0.7, 0.4, 0.9, -0.2], order=14))
+    assert len(calls) <= 14
+
+
 small = st.floats(min_value=-2.0, max_value=2.0,
                   allow_nan=False, allow_infinity=False)
 
@@ -183,6 +197,47 @@ def _geg_phase(c, d, order):
     return Series.from_coeffs(
         [0.0, 0.0] + [(c * beta ** k + d * (-gamma) ** k) / k
                       for k in range(2, order + 1)])
+
+
+def _ext_phase(lam, order):
+    return Series.from_coeffs(
+        [0.0, 0.0] + [(-1.0) ** k * lam ** k / k for k in range(2, order + 1)])
+
+
+@pytest.mark.parametrize("order", [14, 30])
+@pytest.mark.parametrize("phase, param", [
+    (_geg_phase, (1.0, 3.0)), (_geg_phase, (0.37, 5.2)),
+    (_geg_phase, (2.5, 2.6)), (_geg_phase, (3.0, 1.2)),
+    (_ext_phase, (2.0,)), (_ext_phase, (0.45,)),
+    (_ext_phase, (1.3,)), (_ext_phase, (3.5,)),
+])
+def test_saddle_series_matches_mpmath_lagrange(phase, param, order):
+    # 50-digit Lagrange inversion of y = s psi(s)^(1/2) from the same double
+    # phase coefficients: [y^k] s = [s^(k-1)] q^k / k with q = psi^(-1/2).
+    # Each coefficient's error is measured against the same sum taken with
+    # |q|, the size of the terms the double computation adds up.
+    mp = pytest.importorskip("mpmath")
+    phi = phase(*param, order + 1)
+    s = saddle_series(phi)
+    assert s.order == order
+    with mp.workdps(50):
+        psi = [2 * mp.mpf(c) for c in phi.coeffs[2:]]
+        q = [psi[0] ** mp.mpf(-0.5)]
+        for k in range(1, order):
+            q.append(mp.fsum((j / mp.mpf(2) - k) * psi[j] * q[k - j]
+                             for j in range(1, k + 1)) / (k * psi[0]))
+
+        def lagrange(q):
+            out, q_k = [], [mp.mpf(1)] + [mp.mpf(0)] * (order - 1)
+            for k in range(1, order + 1):
+                q_k = [mp.fsum(q_k[i] * q[j - i] for i in range(j + 1))
+                       for j in range(order)]
+                out.append(q_k[k - 1] / k)
+            return out
+        ref = lagrange(q)
+        env = lagrange([abs(c) for c in q])
+        for k in range(1, order + 1):
+            assert abs(s.coeffs[k] - ref[k - 1]) <= 1e-14 * env[k - 1]
 
 
 def test_saddle_series_weighted_phase():
