@@ -1,9 +1,9 @@
 """Reference series operations that only the tests use.
 
-``series_compose`` is the Horner composition the library once reverted
-series with; the reversion round-trip tests check ``series_revert`` against
-it.  ``series_exp`` inverts ``series_log`` in a round-trip test, and
-``laplace_sum`` folds the Gaussian-moment terms into the Laplace bracket.
+``series_compose`` is Horner composition; the reversion round-trip tests
+check ``series_revert`` against it.  ``series_exp`` inverts ``series_log``
+in a round-trip test, and ``laplace_sum`` folds the Gaussian-moment terms
+into the Laplace bracket.
 """
 
 import math
