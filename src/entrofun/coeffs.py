@@ -13,6 +13,19 @@ the exponent parameters of the Gegenbauer-type integrals.
 The j- and kappa-free part of the Gegenbauer saddle amplitude (saddle point,
 reverted saddle series and weight factors) is built once per (a, b, c, d,
 order) in a bounded LRU cache and shared by every ladder term and kappa.
+
+With ``dkappa=True`` the numeric ladders (``lag_C_ladder``, ``geg_C_ladder``,
+``ext_lag_amplitude``) also return the exact kappa-derivative of their output
+from the same build, the input of the Shannon-type routes.  kappa enters in
+three places, each differentiated in closed form (forward mode, Griewank and
+Walther, *Evaluating Derivatives*, 2008):
+
+- a power series_pow(b, kappa) of the A-coefficients or of the extended
+  bracket series, whose derivative is the power times series_log(b);
+- a power series_pow(w, kappa m - 2j) x^(kappa m - 2j) of a saddle factor,
+  whose derivative is the power times m (series_log(w) + log x);
+- the Pochhammer (j - kappa m)_n of lag_B, by the product rule over its
+  factors, since at kappa = 2 one of them can be exactly zero.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series,
-                     series_pow)
+                     series_log, series_pow)
 
 
 @dataclass(frozen=True)
@@ -34,6 +47,7 @@ class CoeffLadder:
     values: tuple[float, ...]
     alpha_dependent: bool
     params: dict[str, Any] = field(default_factory=dict)
+    dkappa: tuple[float, ...] | None = None  # d values / d kappa, if asked
 
 
 def _poch_float(a: float, n: int) -> float:
@@ -41,6 +55,15 @@ def _poch_float(a: float, n: int) -> float:
     for k in range(n):
         out *= a + k
     return out
+
+
+def _poch_dual(a: float, da: float, n: int) -> tuple[float, float]:
+    """((a)_n, d(a)_n) for a moving at rate da, by the product rule over the
+    factors; (a)_n * sum 1/(a+k) would divide by a factor that is zero."""
+    val, der = 1.0, 0.0
+    for k in range(n):
+        val, der = val * (a + k), der * (a + k) + val * da
+    return val, der
 
 
 def _falling(m: int, n: int) -> float:
@@ -91,14 +114,24 @@ def g_coeffs(m: int, t: float) -> list[float]:
 # Watson's-lemma ladder for the plain Laguerre integral
 # ---------------------------------------------------------------------------
 
-def lag_A_coeffs(kappa: float, m: int, alpha: float, j_max: int) -> list[float]:
+def _pow_dkappa(base: Series, kappa: float, dkappa: bool):
+    """base**kappa, and with ``dkappa`` the pair (power, d power / d kappa)."""
+    power = series_pow(base, kappa)
+    if not dkappa:
+        return list(power.coeffs)
+    return list(power.coeffs), list((power * series_log(base)).coeffs)
+
+
+def lag_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
+                 dkappa: bool = False):
     """A_j: coefficients of the kappa-th power of the bracketed Taylor series
-    of L_m^(alpha)(alpha t), expanded in 1/(alpha (1-t))."""
+    of L_m^(alpha)(alpha t), expanded in 1/(alpha (1-t)); with ``dkappa``
+    the pair (A_j, dA_j/dkappa)."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     f = f_sequence(m, alpha, min(m, j_max))
     base = [(_falling(m, n) * f[n]) if n <= m else 0.0 for n in range(j_max + 1)]
-    return list(series_pow(Series.from_coeffs(base, j_max), kappa).coeffs)
+    return _pow_dkappa(Series.from_coeffs(base, j_max), kappa, dkappa)
 
 
 def lag_B(j: int, n: int, mu: float, lam: float, kappa: float, m: int) -> float:
@@ -109,16 +142,36 @@ def lag_B(j: int, n: int, mu: float, lam: float, kappa: float, m: int) -> float:
             / (math.factorial(n) * lam ** n))
 
 
+def lag_B_dkappa(j: int, n: int, mu: float, lam: float, kappa: float,
+                 m: int) -> float:
+    """d lag_B / d kappa: (mu)_n d(j - kappa m)_n / (n! lam^n)."""
+    if lam <= 0 or mu <= 0:
+        raise ValueError("lag_B requires mu > 0 and lam > 0")
+    return (_poch_float(mu, n) * _poch_dual(j - kappa * m, -m, n)[1]
+            / (math.factorial(n) * lam ** n))
+
+
 def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
-                 k_max: int) -> CoeffLadder:
-    """C_k(alpha) = sum_{j<=k} A_j B_{j,k-j}; alpha-dependent ladder."""
-    A = lag_A_coeffs(kappa, m, alpha, k_max)
-    values = tuple(
-        math.fsum(A[j] * lag_B(j, k - j, mu, lam, kappa, m) for j in range(k + 1))
-        for k in range(k_max + 1))
+                 k_max: int, dkappa: bool = False) -> CoeffLadder:
+    """C_k(alpha) = sum_{j<=k} A_j B_{j,k-j}; alpha-dependent ladder.  With
+    ``dkappa`` the ladder also carries dC_k/dkappa."""
+    A = lag_A_coeffs(kappa, m, alpha, k_max, dkappa)
+    if dkappa:
+        A, dA = A
+    B = [[lag_B(j, n, mu, lam, kappa, m) for n in range(k_max + 1 - j)]
+         for j in range(k_max + 1)]
+    values = tuple(math.fsum(A[j] * B[j][k - j] for j in range(k + 1))
+                   for k in range(k_max + 1))
+    derivs = None
+    if dkappa:
+        derivs = tuple(
+            math.fsum(dA[j] * B[j][k - j]
+                      + A[j] * lag_B_dkappa(j, k - j, mu, lam, kappa, m)
+                      for j in range(k + 1))
+            for k in range(k_max + 1))
     return CoeffLadder("lag_renyi", values, alpha_dependent=True,
                        params={"m": m, "kappa": kappa, "mu": mu, "lam": lam,
-                               "alpha": alpha})
+                               "alpha": alpha}, dkappa=derivs)
 
 
 def lag_D(k: int, mu: float, lam: float, kappa: float, m: int) -> float:
@@ -180,13 +233,15 @@ def geg_f_sequence(m: int, alpha: float, n_max: int) -> list[float]:
     return out
 
 
-def geg_A_coeffs(kappa: float, m: int, alpha: float, j_max: int) -> list[float]:
+def geg_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
+                 dkappa: bool = False):
     """A_j for the Gegenbauer integrand power: the kappa-th power of the
-    inverse-square series, expanded in 1/(alpha x^2)."""
+    inverse-square series, expanded in 1/(alpha x^2); with ``dkappa`` the
+    pair (A_j, dA_j/dkappa)."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     base = Series.from_coeffs(geg_f_sequence(m, alpha, j_max), j_max)
-    return list(series_pow(base, kappa).coeffs)
+    return _pow_dkappa(base, kappa, dkappa)
 
 
 def geg_saddle_x(c: float, d: float, order: int = DEFAULT_ORDER):
@@ -243,22 +298,34 @@ def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
     return _geg_amplitude(_geg_frame(a, b, c, d, order), j, kappa, m, order)
 
 
+def _gaussian_moments(A, amps, k_max: int) -> tuple[float, ...]:
+    """sum_{j<=k} A_j [y^(2(k-j))] amp_j (2(k-j)-1)!! for k = 0..k_max."""
+    return tuple(math.fsum(
+        A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
+        for j in range(k + 1)) for k in range(k_max + 1))
+
+
 def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
-                 alpha: float, k_max: int) -> CoeffLadder:
+                 alpha: float, k_max: int, dkappa: bool = False) -> CoeffLadder:
     """C_k(alpha): Gaussian-moment assembly of the per-j amplitudes weighted
-    by the A_j ladder."""
-    A = geg_A_coeffs(kappa, m, alpha, k_max)
+    by the A_j ladder.  With ``dkappa`` the ladder also carries dC_k/dkappa,
+    where d amp_j / d kappa = amp_j m (log(x / x_m) + log x_m)."""
+    A = geg_A_coeffs(kappa, m, alpha, k_max, dkappa)
     frame = _geg_frame(a, b, c, d, 2 * k_max)
     amps = [_geg_amplitude(frame, j, kappa, m, 2 * (k_max - j))
             for j in range(k_max + 1)]
-    values = []
-    for k in range(k_max + 1):
-        values.append(math.fsum(
-            A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
-            for j in range(k + 1)))
-    return CoeffLadder("geg_asym", tuple(values), alpha_dependent=True,
+    derivs = None
+    if dkappa:
+        A, dA = A
+        x_m, wx = frame[0], frame[3]
+        log_x = series_log(wx) + Series.constant(math.log(x_m), 2 * k_max)
+        damps = [amp * log_x.truncate(amp.order) * m for amp in amps]
+        derivs = tuple(u + v for u, v in zip(_gaussian_moments(dA, amps, k_max),
+                                              _gaussian_moments(A, damps, k_max)))
+    return CoeffLadder("geg_asym", _gaussian_moments(A, amps, k_max),
+                       alpha_dependent=True,
                        params={"m": m, "kappa": kappa, "a": a, "b": b,
-                               "c": c, "d": d, "alpha": alpha})
+                               "c": c, "d": d, "alpha": alpha}, dkappa=derivs)
 
 
 def geg_D0(a: float, b: float, c: float, d: float, kappa: float, m: int) -> float:
@@ -318,13 +385,18 @@ def ext_saddle_x(lam: float, order: int = DEFAULT_ORDER):
 
 
 def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
-                      alpha: float, order: int = DEFAULT_ORDER) -> Series:
+                      alpha: float, order: int = DEFAULT_ORDER,
+                      dkappa: bool = False):
     """Normalised Laplace amplitude of the extended Laguerre integral.
 
     The full amplitude is x^sigma y/(lam x - 1) |L|^kappa; this routine
     strips the constant prefactor x_0^sigma |1-x_0|^(kappa m)
     alpha^(kappa m)/(m!)^kappa so that the returned constant term is the
     alpha-dependent C_0(alpha) = 1 + O(1/alpha).
+
+    With ``dkappa`` it returns the pair (amp, d amp / d kappa), where
+    d amp / d kappa = amp (m log wser + log t) for the normalised factor
+    wser^(kappa m) and the bracket series t^kappa.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -346,8 +418,11 @@ def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
     if t.coeffs[0] <= 0.0:
         raise ValueError(f"alpha = {alpha} is too small for the lambda != 1 "
                          f"expansion at m={m} (bracket series not positive)")
-    return (series_pow(x_ratio, sigma - 1.0) * series_pow(wser, kappa * m)
-            * series_pow(t, kappa) * dxdy) * (1.0 / x0)
+    amp = (series_pow(x_ratio, sigma - 1.0) * series_pow(wser, kappa * m)
+           * series_pow(t, kappa) * dxdy) * (1.0 / x0)
+    if not dkappa:
+        return amp
+    return amp, amp * (series_log(wser) * m + series_log(t))
 
 
 def ext_lag_D(k: int, sigma: float, lam: float, kappa: float, m: int) -> float:

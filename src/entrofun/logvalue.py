@@ -144,11 +144,3 @@ class LogValue:
 
     def __le__(self, other: "LogValue") -> bool:
         return (self - other).sign <= 0
-
-
-def logvalue_sum(values) -> LogValue:
-    """Sum an iterable of LogValues (pairwise through repeated addition)."""
-    total = LogValue.zero()
-    for v in values:
-        total = total + v
-    return total

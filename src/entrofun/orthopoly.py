@@ -1,4 +1,4 @@
-"""Laguerre, Gegenbauer and Hermite polynomials: values, derivatives, zeros.
+"""Laguerre, Gegenbauer and Hermite polynomials: values and zeros.
 
 Evaluation is by upward three-term recurrence in double precision, which is
 well conditioned for the modest degrees (m <= 60) and large parameters this
@@ -16,18 +16,11 @@ certified by a sign change of the polynomial between consecutive zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DEGREE = 60
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    value: float
-    derivative: float
 
 
 @dataclass(frozen=True)
@@ -78,50 +71,6 @@ def hermite_value(m: int, x):
     for n in range(1, m):
         p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
     return p
-
-
-def gegenbauer_explicit_sum(m: int, alpha: float, x: float) -> float:
-    """C_m^(alpha)(x) from the explicit finite sum over (2x)^(m-2n)."""
-    total = 0.0
-    for n in range(m // 2 + 1):
-        poch = 1.0
-        for k in range(m - n):
-            poch *= alpha + k
-        total += (-1.0) ** n * poch / (math.factorial(n) * math.factorial(m - 2 * n)) \
-            * (2.0 * x) ** (m - 2 * n)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# value + derivative pairs
-# ---------------------------------------------------------------------------
-
-def laguerre_eval(m: int, alpha: float, x: float) -> PolyEval:
-    """Laguerre polynomial and its x-derivative, d/dx L_m = -L_{m-1}^(alpha+1)."""
-    _check_degree(m)
-    if alpha <= -1.0:
-        raise ValueError(f"laguerre_eval requires alpha > -1, got {alpha}")
-    value = laguerre_value(m, alpha, x)
-    deriv = 0.0 if m == 0 else -laguerre_value(m - 1, alpha + 1.0, x)
-    return PolyEval(value, deriv)
-
-
-def gegenbauer_eval(m: int, alpha: float, x: float) -> PolyEval:
-    """Gegenbauer polynomial and its x-derivative, d/dx C_m = 2 alpha C_{m-1}^(alpha+1)."""
-    _check_degree(m)
-    if alpha <= 0.0:
-        raise ValueError(f"gegenbauer_eval requires alpha > 0, got {alpha}")
-    value = gegenbauer_value(m, alpha, x)
-    deriv = 0.0 if m == 0 else 2.0 * alpha * gegenbauer_value(m - 1, alpha + 1.0, x)
-    return PolyEval(value, deriv)
-
-
-def hermite_eval(m: int, x: float) -> PolyEval:
-    """Hermite polynomial and its x-derivative, d/dx H_m = 2 m H_{m-1}."""
-    _check_degree(m)
-    value = hermite_value(m, x)
-    deriv = 0.0 if m == 0 else 2.0 * m * hermite_value(m - 1, x)
-    return PolyEval(value, deriv)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from entrofun import coeffs
 from entrofun.asymptotics import (ExpansionResult, closed_form_value,
                                   evaluate_asymptotic, ext_renyi_laguerre_asym,
                                   ext_shannon_laguerre_asym,
@@ -280,23 +281,56 @@ def test_ext_shannon_error_decreases():
     assert errs[0] > errs[1] > errs[2]
 
 
-@pytest.mark.parametrize("F, evaluate", [
+def _ext_fd(F):
+    return ext_shannon_laguerre_asym(F, K=7, route="fd")
+
+
+def _lag_fd(F):
+    return shannon_laguerre_asym(F, K=7, route="fd")
+
+
+@pytest.mark.parametrize("F, evaluate, branch", [
     (Functional.geg_shannon(4, 2000.0, -0.5, -0.5, 1.0, 3.0),
-     evaluate_asymptotic),
-    (Functional.ext_shannon(3, 1000.0, 1.0, 0.5),
-     lambda F: ext_shannon_laguerre_asym(F, K=7, route="fd")),
-    (Functional.lag_shannon(3, 400.0, 2.5, 1.5),
-     lambda F: shannon_laguerre_asym(F, K=7, route="fd")),
-], ids=["geg", "ext", "lag"])
-def test_shannon_fd_route_matches_oracle(F, evaluate):
-    # The fd routes difference only the dimensionless terms in kappa; the
-    # prefactor's kappa-slope enters exactly, so no differencing error of
-    # the exponential prefactor is left and the full ladders reach the
-    # 1e-12 oracle.
+     evaluate_asymptotic, "laplace_shannon_fd"),
+    (Functional.ext_shannon(3, 1000.0, 1.0, 0.5), _ext_fd,
+     "laplace_shannon_fd"),
+    (Functional.lag_shannon(3, 400.0, 2.5, 1.5), _lag_fd, "watson_shannon_fd"),
+    (Functional.geg_shannon(3, 1500.0, 0.3, 1.2, 3.0, 1.0),
+     evaluate_asymptotic, "laplace_swapped_shannon"),
+    (Functional.ext_shannon(3, 1000.0, 1.0, 2.0), _ext_fd,
+     "laplace_shannon_fd"),
+], ids=["geg", "ext", "lag", "geg_swapped", "ext_lam_gt1"])
+def test_shannon_fd_route_matches_oracle(F, evaluate, branch):
+    # The fd routes take the exact kappa-derivative of the dimensionless
+    # terms; the prefactor's kappa-slope enters exactly as well, so the full
+    # ladders reach the 1e-12 oracle.
     res = evaluate(F)
-    assert res.branch.endswith("_fd")
+    assert res.branch == branch
     ref = integrate_functional(F, 1e-12).value
     assert res.value.rel_diff(ref) <= 2e-12
+
+
+@pytest.mark.parametrize("target, F, evaluate", [
+    ("ext_saddle_x", Functional.ext_shannon(3, 1000.0, 1.0, 0.5), _ext_fd),
+    ("geg_C_ladder", Functional.geg_shannon(4, 2000.0, -0.5, -0.5, 1.0, 3.0),
+     evaluate_asymptotic),
+    ("geg_C_ladder", Functional.geg_shannon(3, 1500.0, 0.3, 1.2, 3.0, 1.0),
+     evaluate_asymptotic),
+    ("lag_C_ladder", Functional.lag_shannon(3, 400.0, 2.5, 1.5), _lag_fd),
+], ids=["ext_saddle", "geg_ladder", "geg_swapped_ladder", "lag_ladder"])
+def test_shannon_fd_route_builds_once(monkeypatch, target, F, evaluate):
+    # the kappa-derivative comes from the same build as the values, so a
+    # Shannon call builds its ladder (and the extended saddle) once
+    built = getattr(coeffs, target)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return built(*args, **kwargs)
+
+    monkeypatch.setattr(coeffs, target, counted)
+    evaluate(F)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

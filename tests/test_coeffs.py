@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from entrofun.closedforms import HyperTerm, hyper_terminating
 from entrofun.functional import Functional
 from entrofun.oracle import integrate_functional
 from entrofun.orthopoly import laguerre_value
-from entrofun.series import Series, _double_factorial_odd, series_pow
+from entrofun.series import (Series, _double_factorial_odd, laplace_terms,
+                             series_pow)
 from series_reference import laplace_sum
 
 
@@ -141,6 +143,28 @@ def test_lag_B_values():
     assert cf.lag_B(0, 1, mu, lam, kappa, m) == pytest.approx(
         mu * (-kappa * m) / lam)
     assert cf.lag_B(1, 2, 2.0, 1.0, 2.0, 1) == 0.0
+
+
+def test_lag_B_dkappa_through_a_zero_factor():
+    # At kappa = 2 the factors j - 2m + i of (j - kappa m)_n pass through 0,
+    # so the value vanishes but its derivative does not; the exact product
+    # rule is the reference, and (x)_n sum 1/(x + i) would divide by zero.
+    mu, lam = 2.5, 1.5
+    hit = 0
+    for j, m in ((1, 2), (0, 1), (3, 3), (2, 5)):
+        x = Fraction(j - 2 * m)
+        for n in range(8):
+            factors = [x + i for i in range(n)]
+            dpoch = -m * sum(math.prod(factors[:i] + factors[i + 1:])
+                             for i in range(n))
+            want = (math.prod(Fraction(mu) + i for i in range(n)) * dpoch
+                    / (math.factorial(n) * Fraction(lam) ** n))
+            got = cf.lag_B_dkappa(j, n, mu, lam, 2.0, m)
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+            if 0 in factors:
+                hit += 1
+                assert cf.lag_B(j, n, mu, lam, 2.0, m) == 0.0 and got != 0.0
+    assert hit > 0
 
 
 def test_lag_C_low_orders():
@@ -575,3 +599,96 @@ def test_ext_lag_amplitude_bitwise_matches_deeper_build():
 def test_ext_amplitude_rejects_symmetric_lambda():
     with pytest.raises(ValueError):
         cf.ext_lag_amplitude(1.0, 1.0, 2.0, 1, 100.0)
+
+
+# ---------------------------------------------------------------------------
+# exact kappa-derivatives of the numeric ladders
+# ---------------------------------------------------------------------------
+
+_FD_STEP = 1e-4
+
+
+def _fd_kappa_terms(terms_at, h: float = _FD_STEP):
+    """(t_k, d t_k / d kappa) at kappa = 2 from the dimensionless term list
+    ``terms_at(kappa)`` at kappa = 2 +- h and 2 +- 2h: the central difference
+    with one Richardson level, and the matching O(h^4) value."""
+    p1, m1 = terms_at(2.0 + h), terms_at(2.0 - h)
+    p2, m2 = terms_at(2.0 + 2.0 * h), terms_at(2.0 - 2.0 * h)
+    t = [(4.0 * (a + b) - (c + d)) / 6.0 for a, b, c, d in zip(p1, m1, p2, m2)]
+    dt = [(8.0 * (a - b) - (c - d)) / (12.0 * h)
+          for a, b, c, d in zip(p1, m1, p2, m2)]
+    return t, dt
+
+
+def _scaled(values, alpha):
+    return [v / alpha ** k for k, v in enumerate(values)]
+
+
+def _lag_terms(rng, K):
+    mu, lam = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+    m, alpha = rng.randint(1, 8), 10.0 ** rng.uniform(2.3, 4.0)
+
+    def ladder(kappa, **kw):
+        return cf.lag_C_ladder(mu, lam, kappa, m, alpha, 2 * K, **kw)
+    exact = ladder(2.0, dkappa=True)
+    return ((_scaled(exact.values, alpha), _scaled(exact.dkappa, alpha)),
+            lambda kappa: _scaled(ladder(kappa).values, alpha))
+
+
+def _geg_terms(rng, K):
+    a, b = rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)
+    c = rng.uniform(0.5, 2.0)
+    d = c * rng.uniform(1.5, 4.0)
+    m, alpha = rng.randint(1, 8), 10.0 ** rng.uniform(2.3, 4.0)
+
+    def ladder(kappa, **kw):
+        return cf.geg_C_ladder(a, b, c, d, kappa, m, alpha, K, **kw)
+    exact = ladder(2.0, dkappa=True)
+    return ((_scaled(exact.values, alpha), _scaled(exact.dkappa, alpha)),
+            lambda kappa: _scaled(ladder(kappa).values, alpha))
+
+
+def _ext_terms(rng, K):
+    sigma = rng.uniform(0.3, 2.5)
+    lam = rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0)])
+    m, alpha = rng.randint(1, 8), 10.0 ** rng.uniform(3.0, 4.0)
+
+    def amp(kappa, **kw):
+        return cf.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K, **kw)
+    a, da = amp(2.0, dkappa=True)
+    return ((laplace_terms(a, alpha, K), laplace_terms(da, alpha, K)),
+            lambda kappa: laplace_terms(amp(kappa), alpha, K))
+
+
+@pytest.mark.parametrize("family", [_lag_terms, _geg_terms, _ext_terms],
+                         ids=["lag", "geg", "ext"])
+def test_ladder_dkappa_matches_richardson_difference(family):
+    # The one-build (t, dt/dkappa) against the four-kappa Richardson
+    # difference at h = 1e-4, per input relative to sum_k |t_k| + |dt_k|
+    # (the scale of the Shannon sum).  On 60 seeded inputs per family the
+    # difference's rounding floor in dt is at most 2.3e-12 on that scale
+    # (1e-9 and worse per coefficient, on the smallest ones).  Dropping
+    # log x_m or log t, or dividing by a zero Pochhammer factor, fails it.
+    rng = random.Random(20261019)
+    for _ in range(12):
+        (t, dt), terms_at = family(rng, 7)
+        t_fd, dt_fd = _fd_kappa_terms(terms_at)
+        scale = math.fsum(abs(u) + abs(v) for u, v in zip(t, dt))
+        assert max(abs(u - v) for u, v in zip(dt, dt_fd)) <= 1e-10 * scale
+        assert max(abs(u - v) for u, v in zip(t, t_fd)) <= 1e-12 * scale
+
+
+def test_ladder_dkappa_leaves_values_unchanged():
+    # asking for the derivative changes no bit of the values
+    args = (0.4, 1.1, 0.8, 2.9, 2.0, 4, 500.0, 7)
+    assert (cf.geg_C_ladder(*args, dkappa=True).values
+            == cf.geg_C_ladder(*args).values)
+    assert cf.geg_C_ladder(*args).dkappa is None
+    args = (2.5, 1.5, 2.0, 3, 400.0, 14)
+    assert (cf.lag_C_ladder(*args, dkappa=True).values
+            == cf.lag_C_ladder(*args).values)
+    assert cf.lag_A_coeffs(2.0, 3, 400.0, 14, dkappa=True)[0] == \
+        cf.lag_A_coeffs(2.0, 3, 400.0, 14)
+    args = (1.3, 2.2, 2.0, 3, 1000.0, 14)
+    assert (cf.ext_lag_amplitude(*args, dkappa=True)[0].coeffs
+            == cf.ext_lag_amplitude(*args).coeffs)

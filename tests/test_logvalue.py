@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from entrofun.logvalue import LogValue, logvalue_sum
+from entrofun.logvalue import LogValue
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -73,8 +73,3 @@ def test_powf():
     assert v.powf(0.5).to_float() == pytest.approx(3.0)
     with pytest.raises(ValueError):
         LogValue.from_float(-1.0).powf(0.5)
-
-
-def test_logvalue_sum():
-    vals = [LogValue.from_float(x) for x in (1.0, -0.5, 0.25)]
-    assert logvalue_sum(vals).to_float() == pytest.approx(0.75)
