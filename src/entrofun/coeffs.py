@@ -57,13 +57,13 @@ def _poch_float(a: float, n: int) -> float:
     return out
 
 
-def _poch_dual(a: float, da: float, n: int) -> tuple[float, float]:
-    """((a)_n, d(a)_n) for a moving at rate da, by the product rule over the
-    factors; (a)_n * sum 1/(a+k) would divide by a factor that is zero."""
+def _poch_deriv(a: float, da: float, n: int) -> float:
+    """d(a)_n for a moving at rate da, by the product rule over the factors;
+    (a)_n * sum 1/(a+k) would divide by a factor that is zero."""
     val, der = 1.0, 0.0
     for k in range(n):
         val, der = val * (a + k), der * (a + k) + val * da
-    return val, der
+    return der
 
 
 def _falling(m: int, n: int) -> float:
@@ -147,7 +147,7 @@ def lag_B_dkappa(j: int, n: int, mu: float, lam: float, kappa: float,
     """d lag_B / d kappa: (mu)_n d(j - kappa m)_n / (n! lam^n)."""
     if lam <= 0 or mu <= 0:
         raise ValueError("lag_B requires mu > 0 and lam > 0")
-    return (_poch_float(mu, n) * _poch_dual(j - kappa * m, -m, n)[1]
+    return (_poch_float(mu, n) * _poch_deriv(j - kappa * m, -m, n)
             / (math.factorial(n) * lam ** n))
 
 
