@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import coeffs as cf
@@ -252,8 +251,12 @@ def cmd_sweep(args) -> int:
         for method in methods:
             jobs.append((dict(params), method, spec.K, args.tol))
     if args.jobs > 1:
+        # imported here: the pool machinery costs every other command's start
+        from concurrent.futures import ProcessPoolExecutor
+        # a few chunks per worker, not one pickling round trip per point
+        chunksize = max(1, len(jobs) // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            rows = list(pool.map(_sweep_point, jobs, chunksize=chunksize))
     else:
         rows = [_sweep_point(j) for j in jobs]
 

@@ -7,8 +7,9 @@ removable singularities) and integrated per segment with a tanh-sinh
 (double-exponential) rule under progressive step halving (Takahasi and
 Mori, Publ. RIMS 9, 1974).  Each segment stores the running sum of every
 level it has evaluated, so refinement never evaluates a level twice, and
-the next levels of all unsettled segments are evaluated together, in
-batched calls of the integrand.
+the missing levels of all unsettled segments are evaluated together, in
+batched calls of the integrand: the first pass asks for levels 0 to 3 of
+every segment at once, since none can settle before its level 3 exists.
 
 All floating-point work happens after dividing the integrand by a log-space
 scale close to its peak, so magnitudes stay near unity even where the true
@@ -25,8 +26,8 @@ import numpy as np
 
 from .functional import Functional, Kind
 from .logvalue import LogValue
-from .orthopoly import (gegenbauer_value, hermite_value, hermite_zeros,
-                        laguerre_value, polynomial_zeros)
+from .orthopoly import (_laguerre_zero_floor, gegenbauer_value, hermite_value,
+                        hermite_zeros, laguerre_value, polynomial_zeros)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 _T_MAX = 6.1
@@ -94,21 +95,26 @@ def _settled(sums, min_level: int, tol: float):
     return None
 
 
-def _evaluate_next_levels(integrand, bounds, sums, pending) -> int:
-    """Append the next level's running sum to every pending segment.
+def _evaluate_next_levels(integrand, bounds, sums, pending, min_level) -> int:
+    """Append to every pending segment the running sums of its missing
+    levels below ``min_level`` and of its next level.
 
-    The nodes of all pending segments go to the integrand together, in
-    batches of at most one finest level's nodes (``_BATCH_NODES``), which
-    bounds the memory of a batch by that of a single segment.  Returns the
-    number of nodes."""
+    No segment can settle before its level ``min_level`` exists, so all of
+    those levels are evaluated at once.  The nodes of every (segment, level)
+    go to the integrand together, in batches of at most one finest level's
+    nodes (``_BATCH_NODES``), which bounds the memory of a batch by that of
+    a single segment.  Each segment's levels stay in ascending order, so its
+    running sums are appended one level at a time.  Returns the number of
+    nodes."""
     batches, size = [[]], 0
     for i in pending:
-        nodes = _ts_level_nodes(len(sums[i]))
-        if size + nodes[3].size > _BATCH_NODES:
-            batches.append([])
-            size = 0
-        batches[-1].append((i, nodes))
-        size += nodes[3].size
+        for level in range(len(sums[i]), max(len(sums[i]), min_level) + 1):
+            nodes = _ts_level_nodes(level)
+            if size + nodes[3].size > _BATCH_NODES:
+                batches.append([])
+                size = 0
+            batches[-1].append((i, nodes))
+            size += nodes[3].size
     n_evals = 0
     for batch in batches:
         counts = [w.size for _, (_, _, _, w) in batch]
@@ -138,7 +144,9 @@ def _refine_segments(integrand, bounds, tol_rel: float):
     first level L >= min_level with |S_L - S_(L-1)| <= tol, read from the
     stored sums; only when no stored level qualifies is its next level
     evaluated, together with that of every other such segment in batched
-    integrand calls.  A first pass settles every segment at level 3; up to
+    integrand calls, and with every missing level below min_level, none of
+    which can settle it.  A first pass settles every segment at level 3,
+    from levels 0 to 3 evaluated in one batched call; up to
     four rounds then settle, from level 4 on, the segments whose error
     exceeds the round's share of the tolerance.  Each settles at the level
     a from-scratch run would pick, but no level is evaluated twice.
@@ -159,7 +167,8 @@ def _refine_segments(integrand, bounds, tol_rel: float):
                 else:
                     ests[i] = r
             if still:
-                n_evals += _evaluate_next_levels(integrand, bounds, sums, still)
+                n_evals += _evaluate_next_levels(integrand, bounds, sums, still,
+                                                 min_level)
             pending = still
 
     settle([i for i in range(n_seg) if 0.5 * (bounds[i + 1] - bounds[i]) > 0.0],
@@ -235,7 +244,8 @@ def _lag_segments_and_scale(F: Functional):
     while tail_log(x_hi) > log_target:
         x_hi *= 1.4
     zeros = []
-    if m >= 1:
+    # no zero lies below the floor, so a window under it needs no solve
+    if m >= 1 and x_hi >= _laguerre_zero_floor(m, alpha):
         zeros = [z for z in polynomial_zeros("laguerre", m, alpha).roots
                  if z < x_hi]
     bounds = [0.0] + zeros + [x_hi]

@@ -3,7 +3,10 @@
 Evaluation is by upward three-term recurrence in double precision, which is
 well conditioned for the modest degrees (m <= 60) and large parameters this
 package works in.  The value-only evaluators accept either a float or a
-numpy array for the argument.
+numpy array for the argument.  On an array they run the recurrence in
+preallocated buffers with in-place ufuncs, which perform the same IEEE
+operations in the same order as the scalar expression, so each element is
+bitwise the scalar value; the argument itself is never written.
 
 The m zeros of each family are the eigenvalues of the m x m symmetric
 tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
@@ -46,8 +49,18 @@ def laguerre_value(m: int, alpha: float, x):
     if m == 0:
         return p_prev
     p = alpha + 1.0 - x
+    if not isinstance(p, np.ndarray):
+        for n in range(1, m):
+            p, p_prev = ((2 * n + 1 + alpha - x) * p - (n + alpha) * p_prev) / (n + 1.0), p
+        return p
+    tmp = np.empty_like(p)
     for n in range(1, m):
-        p, p_prev = ((2 * n + 1 + alpha - x) * p - (n + alpha) * p_prev) / (n + 1.0), p
+        np.subtract(2 * n + 1 + alpha, x, out=tmp)
+        tmp *= p
+        p_prev *= n + alpha
+        tmp -= p_prev
+        tmp /= n + 1.0
+        p, p_prev, tmp = tmp, p, p_prev
     return p
 
 
@@ -57,8 +70,18 @@ def gegenbauer_value(m: int, alpha: float, x):
     if m == 0:
         return p_prev
     p = 2.0 * alpha * x
+    if not isinstance(p, np.ndarray):
+        for n in range(2, m + 1):
+            p, p_prev = (2.0 * (n - 1 + alpha) * x * p - (n + 2 * alpha - 2) * p_prev) / n, p
+        return p
+    tmp = np.empty_like(p)
     for n in range(2, m + 1):
-        p, p_prev = (2.0 * (n - 1 + alpha) * x * p - (n + 2 * alpha - 2) * p_prev) / n, p
+        np.multiply(2.0 * (n - 1 + alpha), x, out=tmp)
+        tmp *= p
+        p_prev *= n + 2 * alpha - 2
+        tmp -= p_prev
+        tmp /= n
+        p, p_prev, tmp = tmp, p, p_prev
     return p
 
 
@@ -68,8 +91,17 @@ def hermite_value(m: int, x):
     if m == 0:
         return p_prev
     p = 2.0 * x
+    if not isinstance(p, np.ndarray):
+        for n in range(1, m):
+            p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
+        return p
+    two_x = p.copy()
+    tmp = np.empty_like(p)
     for n in range(1, m):
-        p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
+        np.multiply(two_x, p, out=tmp)
+        p_prev *= 2.0 * n
+        tmp -= p_prev
+        p, p_prev, tmp = tmp, p, p_prev
     return p
 
 
@@ -117,22 +149,41 @@ def _jacobi_roots(diag, off, f, fp) -> tuple[float, ...]:
     return tuple(float(r) for r in x)
 
 
+def _laguerre_jacobi(m: int, alpha: float):
+    """Diagonal and off-diagonal of the Jacobi matrix of L_m^(alpha)."""
+    k = np.arange(1, m, dtype=float)
+    return 2.0 * np.arange(m) + alpha + 1.0, np.sqrt(k * (k + alpha))
+
+
+def _laguerre_zero_floor(m: int, alpha: float) -> float:
+    """A lower bound on every zero of L_m^(alpha), m >= 1.
+
+    The zeros are the eigenvalues of the Jacobi matrix, so none lies below
+    its lowest Gershgorin disc, min_i(diag_i - off_(i-1) - off_i).  The
+    bound is lowered by 1e-9 of its size to cover the rounding of the disc
+    edges and of the computed zeros; at m = 1 it is the zero itself.
+    """
+    diag, off = _laguerre_jacobi(m, alpha)
+    edge = float(np.min(diag - np.concatenate(([0.0], off))
+                        - np.concatenate((off, [0.0]))))
+    return edge - 1e-9 * abs(edge)
+
+
 def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
     """All m real zeros of the degree-m Laguerre or Gegenbauer polynomial."""
     _check_degree(m)
     if m < 1:
         raise ValueError("polynomial_zeros requires m >= 1")
-    k = np.arange(1, m, dtype=float)
     if family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("laguerre zeros require alpha > -1")
-        diag = 2.0 * np.arange(m) + alpha + 1.0
-        off = np.sqrt(k * (k + alpha))
+        diag, off = _laguerre_jacobi(m, alpha)
         f = lambda x: laguerre_value(m, alpha, x)
         fp = lambda x: -laguerre_value(m - 1, alpha + 1.0, x)
     elif family == "gegenbauer":
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
+        k = np.arange(1, m, dtype=float)
         diag = np.zeros(m)
         off = np.sqrt(k * (k + 2.0 * alpha - 1.0)
                       / (4.0 * (k + alpha) * (k + alpha - 1.0)))

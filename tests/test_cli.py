@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,20 @@ def test_jobs_do_not_change_output(capsys):
     _, seq, _ = run_cli(capsys, *base, "--jobs", "1")
     _, par, _ = run_cli(capsys, *base, "--jobs", "4")
     assert seq == par
+
+
+def test_import_leaves_the_process_pool_out():
+    # only `sweep --jobs N` with N > 1 needs the pool; importing it costs
+    # every other command's start
+    import entrofun
+    src = str(Path(entrofun.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, entrofun.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_sweep_structure(capsys):

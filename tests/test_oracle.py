@@ -313,6 +313,67 @@ def test_batches_of_deep_levels_stay_within_one_finest_level():
     assert (total, err) == ref[:2] and n_evals <= ref[2]
 
 
+def test_first_phase_evaluates_levels_0_to_3_in_one_call(monkeypatch):
+    # no segment can settle before its level 3 exists, so the first pass
+    # (which ends at the first settle test from level 4) makes one call
+    events = []
+    value, settled = oracle.laguerre_value, oracle._settled
+
+    def counting_value(m, alpha, x):
+        events.append("value")
+        return value(m, alpha, x)
+
+    def watching_settled(sums, min_level, tol):
+        if min_level == 4:
+            events.append("round")
+        return settled(sums, min_level, tol)
+    monkeypatch.setattr(oracle, "laguerre_value", counting_value)
+    monkeypatch.setattr(oracle, "_settled", watching_settled)
+    q = integrate_functional(Functional.lag_renyi(5, 300.0, 2.5, 1.3, 1.7))
+    first = events.index("round") if "round" in events else len(events)
+    assert events[:first].count("value") == 1
+    assert q.n_evals >= len(q.segments) * sum(
+        oracle._ts_level_nodes(level)[3].size for level in range(4))
+
+
+def test_first_phase_batches_split_at_the_cap():
+    # levels 0..3 of 200 segments exceed one finest level, so the first
+    # pass needs two integrand calls, each within the cap
+    cap = oracle._BATCH_NODES
+    per_segment = sum(oracle._ts_level_nodes(level)[3].size for level in range(4))
+    sizes = []
+
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        sizes.append(x.size)
+        return np.exp(-x) * np.sqrt(np.abs(np.sin(40.0 * x)))
+    bounds = [float(b) for b in np.linspace(0.0, 3.0, 201)]
+    assert 200 * per_segment > cap
+    total, err, n_evals = oracle._refine_segments(integrand, bounds, 1e-10)
+    assert max(sizes) <= cap
+    assert sum(sizes) == n_evals
+    assert sum(sizes[:2]) == 200 * per_segment
+    ref = _reference_refine_segments(integrand, bounds, 1e-10)
+    assert (total, err) == ref[:2] and n_evals <= ref[2]
+
+
+def test_laguerre_window_below_the_zeros_skips_the_zero_solve(monkeypatch):
+    # in the Watson regime the integration window ends below the first zero
+    F = Functional.lag_shannon(30, 2000.0, 2.5, 1.3)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_laguerre_zero_floor", lambda m, alpha: -math.inf)
+        solved = integrate_functional(F)
+
+    def no_solve(*args):
+        raise AssertionError("polynomial_zeros called")
+    monkeypatch.setattr(oracle, "polynomial_zeros", no_solve)
+    skipped = integrate_functional(F)
+    assert len(skipped.segments) == 1
+    assert ((skipped.value.sign, skipped.value.log_abs, skipped.abs_err_log,
+             skipped.n_evals, skipped.segments)
+            == (solved.value.sign, solved.value.log_abs, solved.abs_err_log,
+                solved.n_evals, solved.segments))
+
+
 @pytest.mark.parametrize("name,F", [
     ("laguerre_value", Functional.lag_shannon(60, 300.0, 2.5, 0.8)),
     ("gegenbauer_value", Functional.geg_shannon(60, 300.0, -0.5, -0.5, 1.0, 3.0)),

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from entrofun.orthopoly import (_check_degree, _jacobi_roots, gegenbauer_value,
-                                hermite_value, hermite_zeros, laguerre_value,
-                                polynomial_zeros)
+from entrofun.orthopoly import (_check_degree, _jacobi_roots, _laguerre_zero_floor,
+                                gegenbauer_value, hermite_value, hermite_zeros,
+                                laguerre_value, polynomial_zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +214,57 @@ def test_hermite_limit_of_laguerre_center(m):
 
 
 # ---------------------------------------------------------------------------
+# array evaluation: the in-place recurrence against the scalar path
+# ---------------------------------------------------------------------------
+
+_ARRAY_FAMILIES = {
+    # value(m, x), the zeros, and points near the ends and far out
+    "laguerre": (lambda m, x: laguerre_value(m, 37.5, x),
+                 lambda m: polynomial_zeros("laguerre", m, 37.5).roots,
+                 [0.0, 1e-300, 5e-324, 1e-12, 150.0, 1e3, 1e4, -3.0]),
+    "gegenbauer": (lambda m, x: gegenbauer_value(m, 300.0, x),
+                   lambda m: polynomial_zeros("gegenbauer", m, 300.0).roots,
+                   [-1.0, 1.0, -1.0 + 1e-16, 1.0 - 1e-16, 1.0 - 1e-12, 0.0,
+                    -3.0, 3.0]),
+    "hermite": (lambda m, x: hermite_value(m, x),
+                lambda m: hermite_zeros(m).roots,
+                [0.0, -1e-300, 12.0, -30.0, 30.0]),
+}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 30, 60])
+@pytest.mark.parametrize("family", sorted(_ARRAY_FAMILIES))
+def test_array_values_match_scalar_path_bitwise(family, m):
+    value, zeros, extra = _ARRAY_FAMILIES[family]
+    roots = zeros(m) if m else ()
+    points = extra + [y for r in roots for y in
+                      (r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf),
+                       r * (1.0 + 1e-9))]
+    # the argument is a view into a larger array, none of which may change
+    buf = np.array([7.0] + points + [7.0])
+    before = buf.copy()
+    out = value(m, buf[1:-1])
+    assert out.shape == (len(points),)
+    assert _bits(out) == _bits([value(m, float(xi)) for xi in points])
+    assert _bits(buf) == _bits(before)
+
+
+@pytest.mark.parametrize("family", sorted(_ARRAY_FAMILIES))
+def test_zero_dim_and_numpy_scalar_arguments(family):
+    value = _ARRAY_FAMILIES[family][0]
+    for m in (0, 1, 7):
+        expect = value(m, 0.3)
+        for x in (np.float64(0.3), np.array(0.3)):
+            got = value(m, x)
+            assert np.ndim(got) == 0
+            assert _bits(got) == _bits(expect)
+
+
+# ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
 
@@ -320,3 +371,17 @@ def test_zero_degree_rejected():
         polynomial_zeros("laguerre", 0, 1.0)
     with pytest.raises(ValueError):
         polynomial_zeros("chebyshev", 2, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
+def test_laguerre_zero_floor_lies_below_every_zero(alpha):
+    for m in range(1, 61):
+        floor = _laguerre_zero_floor(m, alpha)
+        assert floor < polynomial_zeros("laguerre", m, alpha).roots[0]
+
+
+def test_laguerre_zero_floor_is_tight_at_degree_one():
+    # a 1 x 1 Jacobi matrix is its own zero; the margin keeps the floor below
+    for alpha in (0.0, 7.0, 1e4):
+        floor = _laguerre_zero_floor(1, alpha)
+        assert floor < alpha + 1.0 and floor >= (alpha + 1.0) * (1.0 - 2e-9)
