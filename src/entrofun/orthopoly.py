@@ -3,10 +3,11 @@
 Evaluation is by upward three-term recurrence in double precision, which is
 well conditioned for the modest degrees (m <= 60) and large parameters this
 package works in.  The value-only evaluators accept either a float or a
-numpy array for the argument.  On an array they run the recurrence in
-preallocated buffers with in-place ufuncs, which perform the same IEEE
-operations in the same order as the scalar expression, so each element is
-bitwise the scalar value; the argument itself is never written.
+numpy array for the argument.  On an array the Laguerre and Gegenbauer
+evaluators run the recurrence in preallocated buffers with in-place ufuncs,
+which perform the same IEEE operations in the same order as the scalar
+expression, so each element is bitwise the scalar value; the argument itself
+is never written.
 
 The m zeros of each family are the eigenvalues of the m x m symmetric
 tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
@@ -91,17 +92,8 @@ def hermite_value(m: int, x):
     if m == 0:
         return p_prev
     p = 2.0 * x
-    if not isinstance(p, np.ndarray):
-        for n in range(1, m):
-            p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
-        return p
-    two_x = p.copy()
-    tmp = np.empty_like(p)
     for n in range(1, m):
-        np.multiply(two_x, p, out=tmp)
-        p_prev *= 2.0 * n
-        tmp -= p_prev
-        p, p_prev, tmp = tmp, p, p_prev
+        p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
     return p
 
 
@@ -163,6 +155,7 @@ def _laguerre_zero_floor(m: int, alpha: float) -> float:
     bound is lowered by 1e-9 of its size to cover the rounding of the disc
     edges and of the computed zeros; at m = 1 it is the zero itself.
     """
+    _check_degree(m)
     diag, off = _laguerre_jacobi(m, alpha)
     edge = float(np.min(diag - np.concatenate(([0.0], off))
                         - np.concatenate((off, [0.0]))))

@@ -10,7 +10,7 @@ from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
 from entrofun.oracle import (QuadratureError, hermite_power_integral,
                              integrate_functional, shannon_integrand_value)
-from entrofun.orthopoly import gegenbauer_value, polynomial_zeros
+from entrofun.orthopoly import MAX_DEGREE, gegenbauer_value, polynomial_zeros
 
 
 def test_tolerance_range_enforced():
@@ -372,6 +372,20 @@ def test_laguerre_window_below_the_zeros_skips_the_zero_solve(monkeypatch):
              skipped.n_evals, skipped.segments)
             == (solved.value.sign, solved.value.log_abs, solved.abs_err_log,
                 solved.n_evals, solved.segments))
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: Functional.lag_renyi(m, 1e4, 2.5, 1.3, 1.7),
+    lambda m: Functional.lag_shannon(m, 1e4, 2.5, 1.3),
+], ids=["renyi", "shannon"])
+def test_laguerre_window_below_the_zeros_still_checks_the_degree(monkeypatch, make):
+    def no_solve(*args):
+        raise AssertionError("polynomial_zeros called")
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "polynomial_zeros", no_solve)
+        integrate_functional(make(MAX_DEGREE))
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        integrate_functional(make(MAX_DEGREE + 1))
 
 
 @pytest.mark.parametrize("name,F", [

@@ -214,7 +214,7 @@ def test_hermite_limit_of_laguerre_center(m):
 
 
 # ---------------------------------------------------------------------------
-# array evaluation: the in-place recurrence against the scalar path
+# array evaluation against the scalar path
 # ---------------------------------------------------------------------------
 
 _ARRAY_FAMILIES = {
