@@ -24,8 +24,8 @@ Walther, *Evaluating Derivatives*, 2008):
   bracket series, whose derivative is the power times series_log(b);
 - a power series_pow(w, kappa m - 2j) x^(kappa m - 2j) of a saddle factor,
   whose derivative is the power times m (series_log(w) + log x);
-- the Pochhammer (j - kappa m)_n of lag_B, by the product rule over its
-  factors, since at kappa = 2 one of them can be exactly zero.
+- the Pochhammer (j - kappa m)_n of the Watson moments, by the product rule
+  over its factors, since at kappa = 2 one of them can be exactly zero.
 """
 
 from __future__ import annotations
@@ -48,22 +48,6 @@ class CoeffLadder:
     alpha_dependent: bool
     params: dict[str, Any] = field(default_factory=dict)
     dkappa: tuple[float, ...] | None = None  # d values / d kappa, if asked
-
-
-def _poch_float(a: float, n: int) -> float:
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
-
-
-def _poch_deriv(a: float, da: float, n: int) -> float:
-    """d(a)_n for a moving at rate da, by the product rule over the factors;
-    (a)_n * sum 1/(a+k) would divide by a factor that is zero."""
-    val, der = 1.0, 0.0
-    for k in range(n):
-        val, der = val * (a + k), der * (a + k) + val * da
-    return der
 
 
 def _falling(m: int, n: int) -> float:
@@ -134,21 +118,38 @@ def lag_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
     return _pow_dkappa(Series.from_coeffs(base, j_max), kappa, dkappa)
 
 
-def lag_B(j: int, n: int, mu: float, lam: float, kappa: float, m: int) -> float:
-    """Watson's-lemma moment coefficient (mu)_n (j - kappa m)_n / (n! lam^n)."""
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lag_B requires mu > 0 and lam > 0")
-    return (_poch_float(mu, n) * _poch_float(j - kappa * m, n)
-            / (math.factorial(n) * lam ** n))
+def _lag_B_table(mu: float, lam: float, kappa: float, m: int, k_max: int,
+                 dkappa: bool):
+    """Watson moments B_{j,n} = (mu)_n (j - kappa m)_n / (n! lam^n) for
+    j + n <= k_max, and with ``dkappa`` their kappa-derivatives.
 
-
-def lag_B_dkappa(j: int, n: int, mu: float, lam: float, kappa: float,
-                 m: int) -> float:
-    """d lag_B / d kappa: (mu)_n d(j - kappa m)_n / (n! lam^n)."""
+    Each moment is walked along n by its running ratio (mu + n)(x + n) /
+    ((n + 1) lam), x = j - kappa m, kept as running numerator products over
+    the shared n! lam^n: the table costs O(k_max^2) and rounds exactly like
+    the direct Pochhammer quotient.  d(x)_n / dkappa follows the product rule
+    one factor at a time, d(x)_{n+1} = d(x)_n (x + n) - m (x)_n: at kappa = 2
+    a factor x + n can be exactly zero, and this never divides by it."""
     if lam <= 0 or mu <= 0:
-        raise ValueError("lag_B requires mu > 0 and lam > 0")
-    return (_poch_float(mu, n) * _poch_deriv(j - kappa * m, -m, n)
-            / (math.factorial(n) * lam ** n))
+        raise ValueError("the Watson moments require mu > 0 and lam > 0")
+    poch_mu = [1.0]
+    denom = [1.0]
+    for n in range(k_max):
+        poch_mu.append(poch_mu[n] * (mu + n))
+        denom.append(math.factorial(n + 1) * lam ** (n + 1))
+    B, dB = [], []
+    for j in range(k_max + 1):
+        x = j - kappa * m
+        poch_x, dpoch_x = 1.0, 0.0
+        b, db = [1.0], [0.0]
+        for n in range(1, k_max + 1 - j):
+            factor = x + (n - 1)
+            poch_x, dpoch_x = poch_x * factor, dpoch_x * factor - m * poch_x
+            b.append(poch_mu[n] * poch_x / denom[n])
+            if dkappa:
+                db.append(poch_mu[n] * dpoch_x / denom[n])
+        B.append(b)
+        dB.append(db)
+    return B, dB
 
 
 def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
@@ -158,15 +159,13 @@ def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
     A = lag_A_coeffs(kappa, m, alpha, k_max, dkappa)
     if dkappa:
         A, dA = A
-    B = [[lag_B(j, n, mu, lam, kappa, m) for n in range(k_max + 1 - j)]
-         for j in range(k_max + 1)]
+    B, dB = _lag_B_table(mu, lam, kappa, m, k_max, dkappa)
     values = tuple(math.fsum(A[j] * B[j][k - j] for j in range(k + 1))
                    for k in range(k_max + 1))
     derivs = None
     if dkappa:
         derivs = tuple(
-            math.fsum(dA[j] * B[j][k - j]
-                      + A[j] * lag_B_dkappa(j, k - j, mu, lam, kappa, m)
+            math.fsum(dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
                       for j in range(k + 1))
             for k in range(k_max + 1))
     return CoeffLadder("lag_renyi", values, alpha_dependent=True,

@@ -176,6 +176,10 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
     elif family == "gegenbauer":
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
+        if (1.0 + alpha) - 1.0 == 0.0:
+            # k + alpha - 1 would round to 0 at k = 1 in the Jacobi matrix
+            raise ValueError(f"gegenbauer zeros require 1 + alpha > 1 in "
+                             f"double precision, got alpha = {alpha!r}")
         k = np.arange(1, m, dtype=float)
         diag = np.zeros(m)
         off = np.sqrt(k * (k + 2.0 * alpha - 1.0)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrofun import coeffs
 from entrofun.asymptotics import (ExpansionResult, closed_form_value,
@@ -18,6 +19,7 @@ from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
 from entrofun.oracle import integrate_functional
 from entrofun.orthopoly import gegenbauer_value, laguerre_value
+from entrofun.series import laplace_terms
 
 
 def test_optimal_truncation():
@@ -74,18 +76,25 @@ def test_shannon_laguerre_m0_zero():
 
 
 def test_shannon_laguerre_routes_agree():
+    # the ladder's Shannon terms against the same construction from the
+    # printed coefficients D_k and their analytic kappa-derivatives
+    alpha = 500.0
     for (m, lam, mu) in [(1, 1.0, 2.0), (2, 2.0, 1.5)]:
-        F = Functional.lag_shannon(m, 500.0, mu, lam)
-        a = shannon_laguerre_asym(F, K=2, route="analytic")
-        b = shannon_laguerre_asym(F, K=2, route="fd")
-        assert a.value.rel_diff(b.value) <= 1e-6
+        F = Functional.lag_shannon(m, alpha, mu, lam)
+        res = shannon_laguerre_asym(F, K=2)
+        ell = 2 * m * math.log(alpha) - 2 * math.lgamma(m + 1)
+        printed = math.fsum(
+            (ell * lag_D(k, mu, lam, 2.0, m)
+             + 2.0 * coeffs.lag_D_kappa_derivative(k, mu, lam, 2.0, m))
+            / alpha ** k for k in range(3))
+        assert res.value.rel_diff(res.prefactor.scaled(printed)) <= 1e-6
 
 
 def test_shannon_laguerre_log_factor_structure():
     # leading term is log(alpha^(2m)/(m!)^2) times the unit coefficient
     m, alpha = 2, 400.0
     F = Functional.lag_shannon(m, alpha, 2.0, 1.0)
-    res = shannon_laguerre_asym(F, K=0, route="analytic")
+    res = shannon_laguerre_asym(F, K=0)
     ell = 2 * m * math.log(alpha) - 2 * math.lgamma(m + 1)
     assert res.terms[0] == pytest.approx(ell, rel=1e-13)
 
@@ -99,6 +108,32 @@ def test_shannon_laguerre_error_decreases():
         ref = integrate_functional(F, 1e-11).value
         errs.append(est.rel_diff(ref))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("F", [
+    Functional.lag_shannon(3, 400.0, 2.5, 1.0),
+    Functional.lag_shannon(8, 281.68546342305837, 5.842821892872799,
+                           0.48887485293988353),
+], ids=["m3_a400", "m8_a282"])
+def test_shannon_laguerre_default_matches_oracle(F):
+    # the default sums K_MAX ladder terms; the printed K = 2 coefficients
+    # were 1.6e-6 and 3.0e-2 off here while the result read "ok"
+    res = evaluate_asymptotic(F)
+    assert res.status == "ok"
+    ref = integrate_functional(F, 1e-12).value
+    assert res.value.rel_diff(ref) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m=st.integers(1, 8),
+       log_alpha=st.floats(math.log(200.0), math.log(2.0e4)),
+       mu=st.floats(0.5, 6.0), lam=st.floats(0.3, 3.0))
+def test_shannon_laguerre_ok_agrees_with_oracle(m, log_alpha, mu, lam):
+    F = Functional.lag_shannon(m, math.exp(log_alpha), mu, lam)
+    res = evaluate_asymptotic(F)
+    if res.status == "ok":
+        ref = integrate_functional(F, 1e-12).value
+        assert res.value.rel_diff(ref) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +215,17 @@ def test_shannon_gegenbauer_m0_zero():
 
 
 def test_shannon_gegenbauer_fd_matches_analytic_leading():
-    F = Functional.geg_shannon(1, 500.0, 0.2, -0.3, 1.0, 3.0)
-    fd = shannon_gegenbauer_asym(F, K=0, route="fd")
-    an = shannon_gegenbauer_asym(F, K=0, route="analytic")
-    assert fd.value.rel_diff(an.value) <= 1e-6
-
-
-def test_shannon_gegenbauer_analytic_rejects_positive_K():
-    # the printed route has the leading term only
-    F = Functional.geg_shannon(1, 500.0, 0.2, -0.3, 1.0, 3.0)
-    with pytest.raises(ValueError, match=r"\[0, 0\]"):
-        shannon_gegenbauer_asym(F, K=1, route="analytic")
+    # the ladder's leading Shannon term against the printed leading
+    # coefficient D_0 and its kappa-derivative D_0 m log((d - c)/(c + d))
+    m, alpha, a, b, c, d = 1, 500.0, 0.2, -0.3, 1.0, 3.0
+    F = Functional.geg_shannon(m, alpha, a, b, c, d)
+    fd = shannon_gegenbauer_asym(F, K=0)
+    d0 = coeffs.geg_D0(a, b, c, d, 2.0, m)
+    d0_prime = d0 * m * math.log((d - c) / (c + d))
+    ell = (2 * m * math.log(2.0) + 2.0 * math.log(alpha)
+           - 2.0 * math.lgamma(m + 1))
+    printed = fd.prefactor.scaled(ell * d0 + 2.0 * d0_prime)
+    assert fd.value.rel_diff(printed) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +284,8 @@ def test_ext_shannon_routes_agree():
     # incompletely assembled next order.
     m, alpha, sigma, lam = 1, 400.0, 1.0, 2.0
     F = Functional.ext_shannon(m, alpha, sigma, lam)
-    an = ext_shannon_laguerre_asym(F, K=1, route="analytic")
+    an = ext_shannon_laguerre_asym(F, K=1)
+    assert an.branch == "laplace_shannon_analytic"
 
     def renyi_d_truncated(kappa):
         pref = ((alpha + sigma) * math.log(alpha) - alpha
@@ -265,9 +301,15 @@ def test_ext_shannon_routes_agree():
               - renyi_d_truncated(2.0 - h)) * LogValue.from_float(1.0 / h)
     assert an.value.rel_diff(fd_ref) <= 1e-7
 
-    fd = ext_shannon_laguerre_asym(F, K=1, route="fd")
-    assert an.value.rel_diff(fd.value) <= 5e-5
+    # the numeric amplitude at the same order, assembled as the K >= 2 route
+    # assembles it
     ell = 2 * (math.log(400.0) + math.log(1.0) - math.log(2.0))
+    amp, damp = coeffs.ext_lag_amplitude(sigma, lam, 2.0, m, alpha, order=2,
+                                         dkappa=True)
+    t, dt = laplace_terms(amp, alpha, 1), laplace_terms(damp, alpha, 1)
+    fd = an.prefactor.scaled(math.fsum(ell * u + 2.0 * v
+                                       for u, v in zip(t, dt)))
+    assert an.value.rel_diff(fd) <= 5e-5
     assert an.terms[0] == pytest.approx(ell, rel=1e-12)
 
 
@@ -282,11 +324,7 @@ def test_ext_shannon_error_decreases():
 
 
 def _ext_fd(F):
-    return ext_shannon_laguerre_asym(F, K=7, route="fd")
-
-
-def _lag_fd(F):
-    return shannon_laguerre_asym(F, K=7, route="fd")
+    return ext_shannon_laguerre_asym(F, K=7)
 
 
 @pytest.mark.parametrize("F, evaluate, branch", [
@@ -294,7 +332,8 @@ def _lag_fd(F):
      evaluate_asymptotic, "laplace_shannon_fd"),
     (Functional.ext_shannon(3, 1000.0, 1.0, 0.5), _ext_fd,
      "laplace_shannon_fd"),
-    (Functional.lag_shannon(3, 400.0, 2.5, 1.5), _lag_fd, "watson_shannon_fd"),
+    (Functional.lag_shannon(3, 400.0, 2.5, 1.5), evaluate_asymptotic,
+     "watson_shannon_fd"),
     (Functional.geg_shannon(3, 1500.0, 0.3, 1.2, 3.0, 1.0),
      evaluate_asymptotic, "laplace_swapped_shannon"),
     (Functional.ext_shannon(3, 1000.0, 1.0, 2.0), _ext_fd,
@@ -316,7 +355,8 @@ def test_shannon_fd_route_matches_oracle(F, evaluate, branch):
      evaluate_asymptotic),
     ("geg_C_ladder", Functional.geg_shannon(3, 1500.0, 0.3, 1.2, 3.0, 1.0),
      evaluate_asymptotic),
-    ("lag_C_ladder", Functional.lag_shannon(3, 400.0, 2.5, 1.5), _lag_fd),
+    ("lag_C_ladder", Functional.lag_shannon(3, 400.0, 2.5, 1.5),
+     evaluate_asymptotic),
 ], ids=["ext_saddle", "geg_ladder", "geg_swapped_ladder", "lag_ladder"])
 def test_shannon_fd_route_builds_once(monkeypatch, target, F, evaluate):
     # the kappa-derivative comes from the same build as the values, so a

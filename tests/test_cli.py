@@ -71,6 +71,30 @@ def test_eval_unknown_kind(capsys):
     assert "error" in json.loads(err)
 
 
+_GEG_TINY_ALPHA = ("--kind", "i3", "--m", "2", "--a", "0", "--b", "0", "--c",
+                   "1", "--d", "1", "--kappa", "2")
+
+
+def test_eval_gegenbauer_alpha_below_double_resolution(capsys):
+    code, out, err = run_cli(capsys, "eval", *_GEG_TINY_ALPHA, "--alpha",
+                             "1e-17", "--method", "oracle")
+    assert code == 2 and out == ""
+    assert "1 + alpha > 1" in json.loads(err)["error"]
+
+
+def test_sweep_gegenbauer_alpha_below_double_resolution(capsys):
+    code, out, _ = run_cli(capsys, "sweep", *_GEG_TINY_ALPHA, "--alpha", "1",
+                           "--alpha-start", "1e-17", "--alpha-stop", "1",
+                           "--count", "4", "--spacing", "log",
+                           "--methods", "oracle")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 4
+    assert rows[0][-1].startswith("error: gegenbauer zeros require")
+    assert float(rows[0][0]) == pytest.approx(1e-17)
+    assert all(r[-1] == "ok" for r in rows[1:])
+
+
 def test_determinism(capsys):
     args = ("sweep", "--kind", "i1", "--m", "1", "--alpha", "1", "--mu", "2",
             "--lambda", "1", "--kappa", "2", "--alpha-start", "50",

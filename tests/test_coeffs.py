@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrofun import coeffs as cf
+from entrofun.asymptotics import K_MAX
 from entrofun.closedforms import HyperTerm, hyper_terminating
 from entrofun.functional import Functional
 from entrofun.oracle import integrate_functional
@@ -48,9 +49,17 @@ def test_f_sequence_matches_kummer_route():
                 assert f[n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
+def _poch(a: float, n: int) -> float:
+    """Rising factorial (a)_n as a running float product."""
+    out = 1.0
+    for k in range(n):
+        out *= a + k
+    return out
+
+
 def f_value_kummer(n: int, m: int, alpha: float) -> float:
     """f_n(m; alpha) from the Kummer representation: a cross-check route."""
-    binom = cf._poch_float(alpha + m - n + 1.0, n) / math.factorial(n)
+    binom = _poch(alpha + m - n + 1.0, n) / math.factorial(n)
     f1 = hyper_terminating(HyperTerm(
         upper=(-float(n),),
         lower=(alpha + m + 1.0 - n,),
@@ -137,12 +146,67 @@ def test_lag_A_zero_degree():
     assert all(a == 0.0 for a in A[1:])
 
 
+# Reference Watson moments, each entry from its own Pochhammer products: the
+# ladder built from them costs O(k_max^3).
+
+def _poch_deriv(a: float, da: float, n: int) -> float:
+    """d(a)_n for a moving at rate da, by the product rule over the factors."""
+    val, der = 1.0, 0.0
+    for k in range(n):
+        val, der = val * (a + k), der * (a + k) + val * da
+    return der
+
+
+def lag_B(j: int, n: int, mu: float, lam: float, kappa: float, m: int) -> float:
+    """(mu)_n (j - kappa m)_n / (n! lam^n)."""
+    return (_poch(mu, n) * _poch(j - kappa * m, n)
+            / (math.factorial(n) * lam ** n))
+
+
+def lag_B_dkappa(j: int, n: int, mu: float, lam: float, kappa: float,
+                 m: int) -> float:
+    """d lag_B / d kappa: (mu)_n d(j - kappa m)_n / (n! lam^n)."""
+    return (_poch(mu, n) * _poch_deriv(j - kappa * m, -m, n)
+            / (math.factorial(n) * lam ** n))
+
+
+def _lag_B_entry(j, n, mu, lam, kappa, m, dkappa=False):
+    B, dB = cf._lag_B_table(mu, lam, kappa, m, j + n, dkappa)
+    return dB[j][n] if dkappa else B[j][n]
+
+
 def test_lag_B_values():
-    assert cf.lag_B(3, 0, 2.0, 1.5, 2.0, 4) == 1.0
+    assert _lag_B_entry(3, 0, 2.0, 1.5, 2.0, 4) == 1.0
     mu, lam, kappa, m = 2.0, 1.5, 2.0, 4
-    assert cf.lag_B(0, 1, mu, lam, kappa, m) == pytest.approx(
+    assert _lag_B_entry(0, 1, mu, lam, kappa, m) == pytest.approx(
         mu * (-kappa * m) / lam)
-    assert cf.lag_B(1, 2, 2.0, 1.0, 2.0, 1) == 0.0
+    assert _lag_B_entry(1, 2, 2.0, 1.0, 2.0, 1) == 0.0
+    with pytest.raises(ValueError, match="mu > 0 and lam > 0"):
+        cf.lag_C_ladder(2.0, 0.0, 2.0, 1, 100.0, 2)
+    with pytest.raises(ValueError, match="mu > 0 and lam > 0"):
+        cf.lag_C_ladder(-1.0, 1.0, 2.0, 1, 100.0, 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 8])
+@pytest.mark.parametrize("kappa", [2.0, 2.5, 3.7])
+def test_lag_C_ladder_matches_per_entry_moments(m, kappa):
+    # the running-ratio table rounds exactly like the per-entry Pochhammer
+    # quotients, so the ladder and its kappa-derivative are bitwise equal
+    k_max = 2 * K_MAX
+    for mu, lam, alpha in ((2.5, 1.5, 400.0), (0.7, 0.35, 250.0),
+                           (5.8, 2.9, 1.0e4)):
+        A, dA = cf.lag_A_coeffs(kappa, m, alpha, k_max, dkappa=True)
+        values = tuple(math.fsum(A[j] * lag_B(j, k - j, mu, lam, kappa, m)
+                                 for j in range(k + 1))
+                       for k in range(k_max + 1))
+        derivs = tuple(math.fsum(
+            dA[j] * lag_B(j, k - j, mu, lam, kappa, m)
+            + A[j] * lag_B_dkappa(j, k - j, mu, lam, kappa, m)
+            for j in range(k + 1)) for k in range(k_max + 1))
+        ladder = cf.lag_C_ladder(mu, lam, kappa, m, alpha, k_max, dkappa=True)
+        assert ladder.values == values
+        assert ladder.dkappa == derivs
+        assert cf.lag_C_ladder(mu, lam, kappa, m, alpha, k_max).values == values
 
 
 def test_lag_B_dkappa_through_a_zero_factor():
@@ -159,11 +223,11 @@ def test_lag_B_dkappa_through_a_zero_factor():
                              for i in range(n))
             want = (math.prod(Fraction(mu) + i for i in range(n)) * dpoch
                     / (math.factorial(n) * Fraction(lam) ** n))
-            got = cf.lag_B_dkappa(j, n, mu, lam, 2.0, m)
+            got = _lag_B_entry(j, n, mu, lam, 2.0, m, dkappa=True)
             assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
             if 0 in factors:
                 hit += 1
-                assert cf.lag_B(j, n, mu, lam, 2.0, m) == 0.0 and got != 0.0
+                assert _lag_B_entry(j, n, mu, lam, 2.0, m) == 0.0 and got != 0.0
     assert hit > 0
 
 

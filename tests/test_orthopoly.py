@@ -275,6 +275,16 @@ def test_single_zeros():
     assert zs.roots == pytest.approx((0.0,), abs=1e-15)
 
 
+def test_gegenbauer_zeros_reject_alpha_below_double_resolution():
+    # below 1.1e-16, 1 + alpha rounds to 1 and k + alpha - 1 in the Jacobi
+    # matrix rounds to 0 at k = 1
+    for alpha in (1e-16, 5e-17):
+        with pytest.raises(ValueError, match=r"1 \+ alpha > 1"):
+            polynomial_zeros("gegenbauer", 3, alpha)
+    zs = polynomial_zeros("gegenbauer", 3, 1.2e-16)
+    assert zs.degree == 3 and len(zs.roots) == 3
+
+
 def test_laguerre_quadratic_zeros():
     # roots of x^2 - 24 x + 132 at alpha = 10
     zs = polynomial_zeros("laguerre", 2, 10.0)
