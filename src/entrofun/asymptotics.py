@@ -1,10 +1,19 @@
 """Assembly of the large-parameter expansions for the integral families.
 
+:func:`evaluate_asymptotic` is the one entry point.  Where no expansion
+exists (Gegenbauer Shannon at c = d, extended Shannon at lambda = 1) it
+returns the oracle value with branch ``oracle_only`` and status
+``no_expansion``; otherwise it hands the functional to its kind's evaluator.
+Every evaluator takes ``(F, K=None)``: ``K = None`` is the evaluator's own
+default (K_MAX terms truncated optimally for the Renyi kinds, K_MAX terms
+kept for the plain Laguerre and Gegenbauer Shannon kinds, K = 1 kept for the
+extended Shannon kind), and an explicit K keeps exactly K + 1 terms.
+
 Every evaluator returns an :class:`ExpansionResult`: a log-space prefactor,
-dimensionless correction terms, the running partial sums, and a branch tag
+dimensionless correction terms, the number of terms kept and a branch tag
 recording how the input was routed (Watson ladder, interior-saddle Laplace,
-symmetric case, Hermite limit, or oracle-only fallback where no expansion
-exists).
+symmetric case, Hermite limit, or oracle-only fallback).  The value, the
+partial sums and the truncation error estimate derive from those.
 
 Shannon-type integrals are 2 d/dkappa of the power-type ones at kappa = 2.
 In every family the log-prefactor is linear in kappa with slope ell / 2, so
@@ -40,15 +49,29 @@ _SYMMETRIC_REL_TOL = 1e-12
 class ExpansionResult:
     prefactor: LogValue
     terms: tuple[float, ...]
-    partial_sums: tuple[LogValue, ...]
     truncation_used: int
     branch: str
     status: str = "ok"
     oracle_fallback: oracle.QuadResult | None = None
 
     @property
+    def partial_sums(self) -> tuple[LogValue, ...]:
+        return tuple(self.prefactor.scaled(math.fsum(self.terms[:k]))
+                     for k in range(1, len(self.terms) + 1))
+
+    @property
     def value(self) -> LogValue:
-        return self.partial_sums[self.truncation_used - 1]
+        return self.prefactor.scaled(math.fsum(self.terms[:self.truncation_used]))
+
+    @property
+    def error_estimate(self) -> float | None:
+        """|first dropped term / kept sum|; None when every term is kept or
+        the kept sum is zero."""
+        if self.truncation_used >= len(self.terms):
+            return None
+        head = math.fsum(self.terms[:self.truncation_used])
+        nxt = self.terms[self.truncation_used]
+        return abs(nxt / head) if head != 0.0 else None
 
 
 def optimal_truncation(terms) -> int:
@@ -64,26 +87,37 @@ def optimal_truncation(terms) -> int:
 
 
 def _assemble(prefactor: LogValue, terms, branch: str, status: str = "ok",
-              force_truncation: bool = False,
-              fallback: oracle.QuadResult | None = None) -> ExpansionResult:
+              force_truncation: bool = False) -> ExpansionResult:
     terms = tuple(float(t) for t in terms)
-    sums = []
-    running = []
-    for t in terms:
-        running.append(t)
-        sums.append(prefactor.scaled(math.fsum(running)))
     used = len(terms) if force_truncation else optimal_truncation(terms)
-    return ExpansionResult(prefactor, terms, tuple(sums), used, branch,
-                           status, fallback)
+    return ExpansionResult(prefactor, terms, used, branch, status)
 
 
 def _low_confidence(F: Functional) -> bool:
     return F.alpha < 10.0 * max(1.0, F.kappa * F.m)
 
 
-def _check_K(K: int) -> None:
+def _depth(K: int | None, default: int = K_MAX) -> int:
+    """The truncation depth for an evaluator's K argument."""
+    if K is None:
+        return default
     if not 0 <= K <= K_MAX:
         raise ValueError(f"K must lie in [0, {K_MAX}], got {K}")
+    return K
+
+
+def _no_expansion(F: Functional) -> bool:
+    """Gegenbauer Shannon at c = d and extended Shannon at lambda = 1 have no
+    large-alpha expansion; only the oracle evaluates them."""
+    if F.kind is Kind.GEG_SHANNON:
+        return _is_symmetric(F.c, F.d)
+    return F.kind is Kind.EXT_LAG_SHANNON and F.lam == 1.0
+
+
+def _reject_no_expansion(F: Functional) -> None:
+    if _no_expansion(F):
+        raise ValueError(f"no expansion exists for {F.params_dict()}; "
+                         "evaluate_asymptotic returns the oracle value")
 
 
 def _shannon_terms(ell: float, t, dt) -> list[float]:
@@ -114,27 +148,27 @@ def _lag_grouped_terms(c, alpha: float, K: int) -> list[float]:
     return terms
 
 
-def renyi_laguerre_asym(F: Functional, K: int = K_MAX,
-                        force_truncation: bool = False) -> ExpansionResult:
+def renyi_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
     """Power-type Laguerre integral: prefactor alpha^(kappa m) Gamma(mu) /
     (lam^mu (m!)^kappa) times the rearranged Watson ladder."""
     if F.kind is not Kind.LAG_RENYI:
         raise ValueError(f"expected a {Kind.LAG_RENYI.value} functional")
-    _check_K(K)
+    force = K is not None
+    K = _depth(K)
     pref = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam,
                                                 F.kappa))
     status = "low_confidence" if _low_confidence(F) else "ok"
     ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, F.m, F.alpha, 2 * K)
     terms = _lag_grouped_terms(ladder.values, F.alpha, K)
-    return _assemble(pref, terms, "watson", status, force_truncation)
+    return _assemble(pref, terms, "watson", status, force)
 
 
-def shannon_laguerre_asym(F: Functional, K: int = K_MAX) -> ExpansionResult:
+def shannon_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
     """Shannon-type Laguerre integral via the kappa-derivative at kappa = 2,
     taken exactly from one build of the numeric Watson ladder."""
     if F.kind is not Kind.LAG_SHANNON:
         raise ValueError(f"expected a {Kind.LAG_SHANNON.value} functional")
-    _check_K(K)
+    K = _depth(K)
     if F.m == 0:
         pref = LogValue.from_log(_lag_prefactor_log(0, F.alpha, F.mu, F.lam, 2.0))
         return _assemble(pref, [0.0] * (K + 1), "watson_shannon_zero",
@@ -171,8 +205,7 @@ def _is_symmetric(c: float, d: float) -> bool:
     return abs(c - d) <= _SYMMETRIC_REL_TOL * max(c, d)
 
 
-def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
-                          force_truncation: bool = False) -> ExpansionResult:
+def renyi_gegenbauer_asym(F: Functional, K: int | None = None) -> ExpansionResult:
     """Power-type Gegenbauer integral.
 
     Routes: interior-saddle Laplace ladder for c < d (c > d by the
@@ -181,7 +214,8 @@ def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
     """
     if F.kind is not Kind.GEG_RENYI:
         raise ValueError(f"expected a {Kind.GEG_RENYI.value} functional")
-    _check_K(K)
+    force = K is not None
+    K = _depth(K)
     m, alpha, kappa = F.m, F.alpha, F.kappa
     if _is_symmetric(F.c, F.d):
         if abs(F.c - 1.0) > _SYMMETRIC_REL_TOL:
@@ -196,8 +230,7 @@ def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
             terms = [1.0]
             if K >= 1:
                 terms.append(coeffs.geg_sym_D1(F.a, F.b, m) / alpha)
-            return _assemble(pref, terms, "symmetric_kappa2", status,
-                             force_truncation)
+            return _assemble(pref, terms, "symmetric_kappa2", status, force)
         q = oracle.hermite_power_integral(m, kappa, alpha)
         pref = LogValue.from_log(0.5 * kappa * m * math.log(alpha)
                                  - 0.5 * math.log(2.0)
@@ -206,7 +239,7 @@ def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
                          force_truncation=True)
     if F.c > F.d:
         res = renyi_gegenbauer_asym(Functional.geg_renyi(
-            m, alpha, F.b, F.a, F.d, F.c, kappa), K, force_truncation)
+            m, alpha, F.b, F.a, F.d, F.c, kappa), K if force else None)
         return replace(res, branch="laplace_swapped")
     status = "ok"
     if _low_confidence(F):
@@ -216,37 +249,29 @@ def renyi_gegenbauer_asym(F: Functional, K: int = K_MAX,
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, kappa))
     ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K)
     terms = [v / alpha ** k for k, v in enumerate(ladder.values)]
-    return _assemble(pref, terms, "laplace_cd", status, force_truncation)
+    return _assemble(pref, terms, "laplace_cd", status, force)
 
 
-def shannon_gegenbauer_asym(F: Functional, K: int = K_MAX,
-                            tol_rel: float = 1e-10) -> ExpansionResult:
-    """Shannon-type Gegenbauer integral.
-
-    For c != d this is the kappa-derivative of the power-type expansion,
-    taken exactly from one build of the full numeric ladder.  For c = d no
-    expansion exists; the oracle value is returned with status
-    ``no_expansion``.
-    """
+def shannon_gegenbauer_asym(F: Functional, K: int | None = None) -> ExpansionResult:
+    """Shannon-type Gegenbauer integral for c != d: the kappa-derivative of
+    the power-type expansion, taken exactly from one build of the full
+    numeric ladder.  c = d has no expansion and raises ``ValueError``."""
     if F.kind is not Kind.GEG_SHANNON:
         raise ValueError(f"expected a {Kind.GEG_SHANNON.value} functional")
-    if _is_symmetric(F.c, F.d):
-        q = oracle.integrate_functional(F, tol_rel)
-        return ExpansionResult(q.value, (1.0,), (q.value,), 1,
-                               "oracle_only", "no_expansion", q)
+    _reject_no_expansion(F)
+    K = _depth(K)
     if F.m == 0:
         return _assemble(LogValue.zero(), [0.0] * (K + 1),
                          "laplace_shannon_zero", force_truncation=True)
     if F.c > F.d:
         res = shannon_gegenbauer_asym(Functional.geg_shannon(
-            F.m, F.alpha, F.b, F.a, F.d, F.c), K, tol_rel)
+            F.m, F.alpha, F.b, F.a, F.d, F.c), K)
         return replace(res, branch="laplace_swapped_shannon")
     m, alpha = F.m, F.alpha
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, 2.0))
     status = "low_confidence" if _low_confidence(F) else "ok"
     ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
            - 2.0 * log_factorial(m))
-    _check_K(K)
     ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, 2.0, m, alpha, K,
                                  dkappa=True)
     t = [v / alpha ** k for k, v in enumerate(ladder.values)]
@@ -268,8 +293,7 @@ def _ext_prefactor_log(m: int, alpha: float, sigma: float, lam: float,
             + kappa * m * math.log(alpha) - kappa * log_factorial(m))
 
 
-def ext_renyi_laguerre_asym(F: Functional, K: int = K_MAX,
-                            force_truncation: bool = False) -> ExpansionResult:
+def ext_renyi_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
     """Power-type extended Laguerre integral (weight x^(alpha+sigma-1)).
 
     lambda != 1 uses the interior-saddle Laplace ladder; lambda = 1 uses the
@@ -278,7 +302,8 @@ def ext_renyi_laguerre_asym(F: Functional, K: int = K_MAX,
     """
     if F.kind is not Kind.EXT_LAG_RENYI:
         raise ValueError(f"expected a {Kind.EXT_LAG_RENYI.value} functional")
-    _check_K(K)
+    force = K is not None
+    K = _depth(K)
     m, alpha, sigma, lam, kappa = F.m, F.alpha, F.sigma, F.lam, F.kappa
     status = "low_confidence" if _low_confidence(F) else "ok"
     if lam == 1.0:
@@ -297,27 +322,21 @@ def ext_renyi_laguerre_asym(F: Functional, K: int = K_MAX,
     pref = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, kappa))
     amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, order=2 * K)
     terms = laplace_terms(amp, alpha, K)
-    return _assemble(pref, terms, "laplace_lambda_ne1", status,
-                     force_truncation)
+    return _assemble(pref, terms, "laplace_lambda_ne1", status, force)
 
 
-def ext_shannon_laguerre_asym(F: Functional, K: int = 1,
-                              tol_rel: float = 1e-10) -> ExpansionResult:
-    """Shannon-type extended Laguerre integral.
-
-    lambda = 1 has no expansion (oracle fallback with status
-    ``no_expansion``); otherwise the kappa-derivative structure applies.
-    K <= 1 uses the printed ladder; larger K takes the exact
-    kappa-derivative of the full numeric amplitude from one build.
+def ext_shannon_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
+    """Shannon-type extended Laguerre integral for lambda != 1, by the
+    kappa-derivative structure; lambda = 1 has no expansion and raises
+    ``ValueError``.  K <= 1 (the default is 1) uses the printed ladder;
+    larger K takes the exact kappa-derivative of the full numeric amplitude
+    from one build.
     """
     if F.kind is not Kind.EXT_LAG_SHANNON:
         raise ValueError(f"expected a {Kind.EXT_LAG_SHANNON.value} functional")
+    _reject_no_expansion(F)
+    K = _depth(K, default=1)
     m, alpha, sigma, lam = F.m, F.alpha, F.sigma, F.lam
-    if lam == 1.0:
-        q = oracle.integrate_functional(F, tol_rel)
-        return ExpansionResult(q.value, (1.0,), (q.value,), 1,
-                               "oracle_only", "no_expansion", q)
-    _check_K(K)
     if F.m == 0:
         pref = LogValue.from_log(_ext_prefactor_log(0, alpha, sigma, lam, 2.0))
         return _assemble(pref, [0.0] * (K + 1), "laplace_shannon_zero",
@@ -420,8 +439,11 @@ def hermite_type_laguerre(m: int, alpha: float, x: float,
 
 _EVALUATORS = {
     Kind.LAG_RENYI: renyi_laguerre_asym,
+    Kind.LAG_SHANNON: shannon_laguerre_asym,
     Kind.GEG_RENYI: renyi_gegenbauer_asym,
+    Kind.GEG_SHANNON: shannon_gegenbauer_asym,
     Kind.EXT_LAG_RENYI: ext_renyi_laguerre_asym,
+    Kind.EXT_LAG_SHANNON: ext_shannon_laguerre_asym,
 }
 
 
@@ -429,27 +451,21 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
                         tol_rel: float = 1e-10) -> ExpansionResult:
     """Evaluate any functional by its asymptotic route.
 
-    ``K = None`` computes the full term budget and truncates optimally;
-    an explicit K forces that truncation depth.  The Shannon evaluators always
-    force their truncation: the plain-Laguerre and Gegenbauer ones default to
-    K_MAX terms of the exact kappa-derivative of the numeric ladder, and the
-    extended one to K = 1 from the printed coefficients, the only route that
-    produces the ``laplace_shannon_analytic`` branch the benchmark requires.
+    Where no expansion exists (Gegenbauer Shannon at c = d, extended Shannon
+    at lambda = 1) this returns the oracle value at ``tol_rel``, with branch
+    ``oracle_only`` and status ``no_expansion``; K is then unused.  Otherwise
+    ``K = None`` takes the evaluator's own default: K_MAX terms truncated
+    optimally for the Renyi kinds, K_MAX terms kept for the plain Laguerre
+    and Gegenbauer Shannon kinds, and K = 1 kept for the extended Shannon
+    kind (printed coefficients, the only route that produces the
+    ``laplace_shannon_analytic`` branch the benchmark requires).  An explicit
+    K keeps exactly K + 1 terms.
     """
-    force = K is not None
-    if F.kind is Kind.LAG_SHANNON:
-        return shannon_laguerre_asym(F, K_MAX if K is None else K)
-    if F.kind is Kind.GEG_SHANNON:
-        if _is_symmetric(F.c, F.d):
-            return shannon_gegenbauer_asym(F, tol_rel=tol_rel)
-        return shannon_gegenbauer_asym(F, K_MAX if K is None else K)
-    if F.kind is Kind.EXT_LAG_SHANNON:
-        if F.lam == 1.0:
-            return ext_shannon_laguerre_asym(F, tol_rel=tol_rel)
-        return ext_shannon_laguerre_asym(F, 1 if K is None else K)
-    k = K_MAX if K is None else K
-    res = _EVALUATORS[F.kind](F, k, force_truncation=force)
-    return res
+    if _no_expansion(F):
+        q = oracle.integrate_functional(F, tol_rel)
+        return ExpansionResult(q.value, (1.0,), 1, "oracle_only",
+                               "no_expansion", q)
+    return _EVALUATORS[F.kind](F, K)
 
 
 def closed_form_value(F: Functional) -> LogValue:

@@ -149,12 +149,7 @@ def _eval_document(F: Functional, method: str, K, tol: float) -> dict:
         raise CliError(f"unknown method {method!r}; choose oracle, asym or closed")
     res = evaluate_asymptotic(F, K, tol_rel=tol)
     doc["value"] = _value_payload(res.value)
-    if res.truncation_used < len(res.terms):
-        head = math.fsum(res.terms[: res.truncation_used])
-        nxt = res.terms[res.truncation_used]
-        doc["error_estimate"] = abs(nxt / head) if head != 0.0 else None
-    else:
-        doc["error_estimate"] = None
+    doc["error_estimate"] = res.error_estimate
     doc["terms"] = list(res.terms)
     doc["truncation_used"] = res.truncation_used
     doc["branch"] = res.branch

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series,
                      series_log, series_pow)
@@ -41,12 +40,9 @@ from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series
 
 @dataclass(frozen=True)
 class CoeffLadder:
-    """A k-indexed coefficient list with its parameter snapshot."""
+    """A k-indexed coefficient list."""
 
-    family: str
     values: tuple[float, ...]
-    alpha_dependent: bool
-    params: dict[str, Any] = field(default_factory=dict)
     dkappa: tuple[float, ...] | None = None  # d values / d kappa, if asked
 
 
@@ -168,9 +164,7 @@ def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
             math.fsum(dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
                       for j in range(k + 1))
             for k in range(k_max + 1))
-    return CoeffLadder("lag_renyi", values, alpha_dependent=True,
-                       params={"m": m, "kappa": kappa, "mu": mu, "lam": lam,
-                               "alpha": alpha}, dkappa=derivs)
+    return CoeffLadder(values, dkappa=derivs)
 
 
 def lag_D(k: int, mu: float, lam: float, kappa: float, m: int) -> float:
@@ -321,10 +315,7 @@ def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
         damps = [amp * log_x.truncate(amp.order) * m for amp in amps]
         derivs = tuple(u + v for u, v in zip(_gaussian_moments(dA, amps, k_max),
                                               _gaussian_moments(A, damps, k_max)))
-    return CoeffLadder("geg_asym", _gaussian_moments(A, amps, k_max),
-                       alpha_dependent=True,
-                       params={"m": m, "kappa": kappa, "a": a, "b": b,
-                               "c": c, "d": d, "alpha": alpha}, dkappa=derivs)
+    return CoeffLadder(_gaussian_moments(A, amps, k_max), dkappa=derivs)
 
 
 def geg_D0(a: float, b: float, c: float, d: float, kappa: float, m: int) -> float:

@@ -138,9 +138,3 @@ class LogValue:
         if d > LINEAR_LOG_LIMIT:
             return math.inf
         return math.exp(d) + 1.0
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return (self - other).sign < 0
-
-    def __le__(self, other: "LogValue") -> bool:
-        return (self - other).sign <= 0

@@ -73,13 +73,13 @@ def gegenbauer_value(m: int, alpha: float, x):
     p = 2.0 * alpha * x
     if not isinstance(p, np.ndarray):
         for n in range(2, m + 1):
-            p, p_prev = (2.0 * (n - 1 + alpha) * x * p - (n + 2 * alpha - 2) * p_prev) / n, p
+            p, p_prev = (2.0 * (n - 1 + alpha) * x * p - ((n - 2) + 2 * alpha) * p_prev) / n, p
         return p
     tmp = np.empty_like(p)
     for n in range(2, m + 1):
         np.multiply(2.0 * (n - 1 + alpha), x, out=tmp)
         tmp *= p
-        p_prev *= n + 2 * alpha - 2
+        p_prev *= (n - 2) + 2 * alpha
         tmp -= p_prev
         tmp /= n
         p, p_prev, tmp = tmp, p, p_prev
@@ -177,13 +177,13 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
         if (1.0 + alpha) - 1.0 == 0.0:
-            # k + alpha - 1 would round to 0 at k = 1 in the Jacobi matrix
+            # the lower end of the supported range: 1 + alpha rounds to 1
             raise ValueError(f"gegenbauer zeros require 1 + alpha > 1 in "
                              f"double precision, got alpha = {alpha!r}")
         k = np.arange(1, m, dtype=float)
         diag = np.zeros(m)
-        off = np.sqrt(k * (k + 2.0 * alpha - 1.0)
-                      / (4.0 * (k + alpha) * (k + alpha - 1.0)))
+        off = np.sqrt(k * ((k - 1.0) + 2.0 * alpha)
+                      / (4.0 * (k + alpha) * ((k - 1.0) + alpha)))
         f = lambda x: gegenbauer_value(m, alpha, x)
         fp = lambda x: 2.0 * alpha * gegenbauer_value(m - 1, alpha + 1.0, x)
     else:

@@ -73,9 +73,6 @@ class Series:
         n = min(self.order, other.order)
         return Series(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
 
-    def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, float)):
             return Series(tuple(c * other for c in self.coeffs))
@@ -167,13 +164,13 @@ def series_revert(f: Series) -> Series:
     return Series(tuple(g))
 
 
-def saddle_series(phi_coeffs: Series, side: int = 1) -> Series:
+def saddle_series(phi_coeffs: Series) -> Series:
     """Solve phi(x_m + s) - phi(x_m) = y^2/2 for s as a series in y.
 
     ``phi_coeffs`` is the expansion of the phase about its interior minimum
     (constant and linear coefficients zero, quadratic coefficient positive).
-    With ``side=+1`` the branch has sign(y) = sign(s); the leading
-    coefficient is 1/sqrt(phi'').
+    The branch has sign(y) = sign(s); the leading coefficient is
+    1/sqrt(phi'').
     """
     if phi_coeffs.order < 2:
         raise ValueError("phase series must carry at least the quadratic term")
@@ -182,14 +179,9 @@ def saddle_series(phi_coeffs: Series, side: int = 1) -> Series:
     if phi_coeffs.coeffs[2] <= 0.0:
         raise ValueError("phase must have a positive quadratic coefficient "
                          "(not a minimum)")
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
     psi = Series(tuple(2.0 * phi_coeffs.coeffs[k + 2]
                        for k in range(phi_coeffs.order - 1)))
-    y_of_s = series_pow(psi, 0.5).shifted_up()
-    if side < 0:
-        y_of_s = -y_of_s
-    return series_revert(y_of_s)
+    return series_revert(series_pow(psi, 0.5).shifted_up())
 
 
 def _double_factorial_odd(k: int) -> float:

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from entrofun import coeffs as cf
-from entrofun.asymptotics import (K_MAX, ext_renyi_laguerre_asym,
+from entrofun.asymptotics import (K_MAX, evaluate_asymptotic,
+                                  ext_renyi_laguerre_asym,
                                   ext_shannon_laguerre_asym,
                                   hermite_type_gegenbauer,
                                   hermite_type_laguerre,
                                   renyi_gegenbauer_asym, renyi_laguerre_asym,
-                                  shannon_gegenbauer_asym,
                                   shannon_laguerre_asym)
 from entrofun.closedforms import (geg22_value, geg31_value, lag24_value,
                                   more15_value, more24_value)
@@ -81,7 +81,7 @@ def test_criterion_02_watson_order():
         rs = []
         for alpha in (400.0, 800.0):
             F = Functional.lag_renyi(m, alpha, mu, lam, kappa)
-            est = renyi_laguerre_asym(F, K=2, force_truncation=True).value
+            est = renyi_laguerre_asym(F, K=2).value
             ref = integrate_functional(F, 1e-12).value
             rs.append(_rel(est, ref))
         if max(rs) < 1e-11:
@@ -99,7 +99,7 @@ def test_criterion_03_d1_extraction():
         es = []
         for alpha in (400.0, 800.0):
             F = Functional.lag_renyi(m, alpha, mu, lam, kappa)
-            lead = renyi_laguerre_asym(F, K=0, force_truncation=True).value
+            lead = renyi_laguerre_asym(F, K=0).value
             ref = integrate_functional(F, 1e-12).value
             es.append(alpha * ((ref / lead).to_float() - 1.0))
         extracted = 2 * es[1] - es[0]
@@ -125,7 +125,7 @@ def test_criterion_05_interior_saddle_leading():
         devs = []
         for alpha in (200.0, 400.0):
             F = Functional.geg_renyi(m, alpha, -0.5, 2 * m - 1.5, 1.0, 3.0, 2.0)
-            lead = renyi_gegenbauer_asym(F, K=0, force_truncation=True).value
+            lead = renyi_gegenbauer_asym(F, K=0).value
             devs.append(_rel(geg22_value(m, alpha), lead))
         assert devs[0] <= 0.2
         assert 1.6 <= devs[0] / devs[1] <= 2.5, (m, devs)
@@ -136,7 +136,7 @@ def test_criterion_06_symmetric_two_term():
     for m in (1, 2, 3):
         for alpha in (100.0, 200.0, 400.0):
             F = Functional.geg_renyi(m, alpha, -0.5, -1.5, 1.0, 1.0, 2.0)
-            est = renyi_gegenbauer_asym(F, K=1, force_truncation=True).value
+            est = renyi_gegenbauer_asym(F, K=1).value
             dev = _rel(geg31_value(m, alpha), est)
             assert dev <= 30.0 / alpha ** 2, (m, alpha, dev)
 
@@ -149,8 +149,7 @@ def test_criterion_07_ext_order():
             rs = []
             for alpha in (200.0, 400.0, 800.0):
                 F = Functional.ext_renyi(m, alpha, 1.0, lam, 2.0)
-                est = ext_renyi_laguerre_asym(F, K=1,
-                                              force_truncation=True).value
+                est = ext_renyi_laguerre_asym(F, K=1).value
                 rs.append(_rel(est, more15_value(m, alpha, lam)))
             for i in (0, 1):
                 assert 3.2 <= rs[i] / rs[i + 1] <= 5.0, (m, lam, rs)
@@ -288,8 +287,7 @@ def test_criterion_11_shannon():
 
             def renyi_trunc(kappa):
                 return renyi_laguerre_asym(
-                    Functional.lag_renyi(m, alpha, mu, lam, kappa), K=K,
-                    force_truncation=True).value
+                    Functional.lag_renyi(m, alpha, mu, lam, kappa), K=K).value
 
             fd = (renyi_trunc(2.0 + h) - renyi_trunc(2.0 - h)) \
                 * LogValue.from_float(1.0 / h)
@@ -373,7 +371,7 @@ def test_criterion_13_no_expansion_routing():
     # symmetric-weight Shannon integral
     m, alpha = 2, 80.0
     F = Functional.gegenbauer_weight_shannon(m, alpha)
-    res = shannon_gegenbauer_asym(F, tol_rel=1e-10)
+    res = evaluate_asymptotic(F, tol_rel=1e-10)
     assert res.status == "no_expansion"
     scale = res.value.log_abs
 
@@ -392,7 +390,7 @@ def test_criterion_13_no_expansion_routing():
     # extended-weight Shannon integral at the symmetric exponent
     m, alpha = 1, 60.0
     F5 = Functional.ext_shannon(m, alpha, 1.0, 1.0)
-    res5 = ext_shannon_laguerre_asym(F5, tol_rel=1e-10)
+    res5 = evaluate_asymptotic(F5, tol_rel=1e-10)
     assert res5.status == "no_expansion"
     scale5 = res5.value.log_abs
 

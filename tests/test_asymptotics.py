@@ -1,10 +1,14 @@
+import importlib.util
+import inspect
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrofun import coeffs
-from entrofun.asymptotics import (ExpansionResult, closed_form_value,
+from entrofun.asymptotics import (_EVALUATORS, K_MAX, ExpansionResult,
+                                  closed_form_value,
                                   evaluate_asymptotic, ext_renyi_laguerre_asym,
                                   ext_shannon_laguerre_asym,
                                   hermite_type_gegenbauer,
@@ -54,7 +58,7 @@ def test_renyi_laguerre_m0_prefactor_exact():
 
 def test_renyi_laguerre_two_terms_vs_closed():
     F = Functional.lag_renyi(2, 200.0, 2.5, 1.0, 2.0)
-    res = renyi_laguerre_asym(F, K=2, force_truncation=True)
+    res = renyi_laguerre_asym(F, K=2)
     assert res.value.rel_diff(lag24_value(2, 200.0, 2.5)) <= 5e-5
     assert res.branch == "watson"
 
@@ -181,7 +185,7 @@ def test_renyi_gegenbauer_symmetric_two_term():
     for m in (1, 3):
         for alpha in (150.0, 300.0):
             F = Functional.geg_renyi(m, alpha, -0.5, -1.5, 1.0, 1.0, 2.0)
-            res = renyi_gegenbauer_asym(F, K=1, force_truncation=True)
+            res = renyi_gegenbauer_asym(F, K=1)
             assert res.branch == "symmetric_kappa2"
             assert res.value.rel_diff(geg31_value(m, alpha)) <= 40.0 / alpha ** 2
 
@@ -202,11 +206,21 @@ def test_renyi_gegenbauer_rejects_general_symmetric_weights():
 
 def test_shannon_gegenbauer_no_expansion_routing():
     F = Functional.gegenbauer_weight_shannon(2, 80.0)
-    res = shannon_gegenbauer_asym(F, tol_rel=1e-10)
+    res = evaluate_asymptotic(F, tol_rel=1e-10)
     assert res.status == "no_expansion"
     assert res.oracle_fallback is not None
     ref = integrate_functional(F, 1e-11).value
     assert res.value.rel_diff(ref) <= 1e-9
+
+
+def test_shannon_gegenbauer_rejects_symmetric_weights():
+    # c = d has no expansion; only the front door falls back to the oracle
+    for F in (Functional.gegenbauer_weight_shannon(2, 80.0),
+              Functional.geg_shannon(3, 200.0, 0.1, 0.2, 2.0, 2.0)):
+        with pytest.raises(ValueError, match="no expansion"):
+            shannon_gegenbauer_asym(F)
+        with pytest.raises(ValueError, match="no expansion"):
+            shannon_gegenbauer_asym(F, K=3)
 
 
 def test_shannon_gegenbauer_m0_zero():
@@ -242,7 +256,7 @@ def test_ext_renyi_m0_matches_stirling():
 
 def test_ext_renyi_one_term_vs_closed():
     F = Functional.ext_renyi(1, 300.0, 1.0, 2.0, 2.0)
-    res = ext_renyi_laguerre_asym(F, K=1, force_truncation=True)
+    res = ext_renyi_laguerre_asym(F, K=1)
     assert res.value.rel_diff(more15_value(1, 300.0, 2.0)) <= 1e-3
     assert res.branch == "laplace_lambda_ne1"
 
@@ -271,10 +285,18 @@ def test_ext_shannon_m0_zero():
 
 def test_ext_shannon_lambda1_no_expansion():
     F = Functional.ext_shannon(1, 60.0, 1.0, 1.0)
-    res = ext_shannon_laguerre_asym(F, tol_rel=1e-10)
+    res = evaluate_asymptotic(F, tol_rel=1e-10)
     assert res.status == "no_expansion"
     ref = integrate_functional(F, 1e-11).value
     assert res.value.rel_diff(ref) <= 1e-9
+
+
+def test_ext_shannon_rejects_lambda1():
+    F = Functional.ext_shannon(1, 60.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="no expansion"):
+        ext_shannon_laguerre_asym(F)
+    with pytest.raises(ValueError, match="no expansion"):
+        ext_shannon_laguerre_asym(F, K=3)
 
 
 def test_ext_shannon_routes_agree():
@@ -404,6 +426,48 @@ def test_evaluate_asymptotic_dispatch():
         assert res.value.sign != 0
 
 
+def test_evaluators_share_one_signature():
+    for kind, fn in _EVALUATORS.items():
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in params] == ["F", "K"], kind
+        assert params[1].default is None, kind
+
+
+def test_explicit_K_keeps_every_term():
+    # K = None truncates the Renyi ladders optimally; an explicit K keeps
+    # K + 1 terms, through the evaluator and the front door alike
+    F = Functional.lag_renyi(2, 150.0, 1.5, 2.0, 3.0)
+    for K in (0, 3, K_MAX):
+        res = renyi_laguerre_asym(F, K)
+        assert res.truncation_used == len(res.terms) == K + 1
+        assert evaluate_asymptotic(F, K) == res
+    assert evaluate_asymptotic(F) == renyi_laguerre_asym(F)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_error_estimate_is_first_dropped_term_over_kept_sum():
+    # the rule the CLI applied before the result derived it, on asym deck 0
+    # of seed 1 of the benchmark (all six kinds, every branch)
+    seen = 0
+    for _, F in _bench_workloads().asym_deck(1, 0):
+        res = evaluate_asymptotic(F)
+        want = None
+        if res.truncation_used < len(res.terms):
+            head = math.fsum(res.terms[: res.truncation_used])
+            nxt = res.terms[res.truncation_used]
+            want = abs(nxt / head) if head != 0.0 else None
+        assert res.error_estimate == want, F
+        seen += want is not None
+    assert seen > 0
+
+
 def test_geg_order_of_accuracy():
     # K-term partial sums of the interior-saddle ladder gain one power per
     # retained term: the error ratio per doubling sits in [2^(K+0.1), 2^(K+1.9)]
@@ -411,7 +475,7 @@ def test_geg_order_of_accuracy():
         rs = []
         for alpha in (200.0, 400.0):
             F = Functional.geg_renyi(2, alpha, -0.5, 2.5, 1.0, 3.0, 2.0)
-            est = renyi_gegenbauer_asym(F, K=K, force_truncation=True).value
+            est = renyi_gegenbauer_asym(F, K=K).value
             ref = integrate_functional(F, 1e-12).value
             rs.append(est.rel_diff(ref))
         assert 2.0 ** (K + 0.1) <= rs[0] / rs[1] <= 2.0 ** (K + 1.9), (K, rs)

@@ -237,7 +237,6 @@ def test_lag_C_low_orders():
     assert ladder.values[0] == 1.0
     assert ladder.values[1] == pytest.approx(
         mu * (-kappa * m) / lam + kappa * m * m, rel=1e-13)
-    assert ladder.alpha_dependent
 
 
 def test_lag_C_zero_degree():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,13 +277,49 @@ def test_single_zeros():
 
 
 def test_gegenbauer_zeros_reject_alpha_below_double_resolution():
-    # below 1.1e-16, 1 + alpha rounds to 1 and k + alpha - 1 in the Jacobi
-    # matrix rounds to 0 at k = 1
+    # below 1.1e-16, 1 + alpha rounds to 1
     for alpha in (1e-16, 5e-17):
         with pytest.raises(ValueError, match=r"1 \+ alpha > 1"):
             polynomial_zeros("gegenbauer", 3, alpha)
     zs = polynomial_zeros("gegenbauer", 3, 1.2e-16)
     assert zs.degree == 3 and len(zs.roots) == 3
+
+
+def _gegenbauer_exact(m: int, alpha: float, x: float) -> Fraction:
+    """C_m^(alpha)(x) in exact rational arithmetic, from the explicit sum."""
+    a, x = Fraction(alpha), Fraction(x)
+    total = Fraction(0)
+    for n in range(m // 2 + 1):
+        poch = Fraction(1)
+        for i in range(m - n):
+            poch *= a + i
+        total += ((-1) ** n * poch * (2 * x) ** (m - 2 * n)
+                  / (math.factorial(n) * math.factorial(m - 2 * n)))
+    return total
+
+
+SMALL_ALPHAS = (1e-6, 1e-10, 1e-13, 1e-15, 1.2e-16)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_gegenbauer_value_keeps_small_alpha(m):
+    # every recurrence coefficient carries alpha exactly: n - 2 + 2 alpha at
+    # n = 2 would round 2 alpha away
+    for alpha in SMALL_ALPHAS:
+        for x in (0.5, 0.3, 0.9, -0.7):
+            ref = _gegenbauer_exact(m, alpha, x)
+            for val in (gegenbauer_value(m, alpha, x),
+                        gegenbauer_value(m, alpha, np.array([x]))[0]):
+                assert abs(Fraction(float(val)) / ref - 1) <= 1e-13, (alpha, x)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_gegenbauer_zeros_approach_chebyshev_limit(m):
+    # C_m^(alpha) / alpha -> (2/m) T_m as alpha -> 0
+    limit = sorted(math.cos((2 * k - 1) * math.pi / (2 * m))
+                   for k in range(1, m + 1))
+    zs = polynomial_zeros("gegenbauer", m, 1e-15).roots
+    assert max(abs(z - t) for z, t in zip(zs, limit)) <= 1e-12
 
 
 def test_laguerre_quadratic_zeros():

@@ -279,13 +279,6 @@ def test_saddle_series_residual_invariant():
         assert ck == pytest.approx(want, abs=1e-10)
 
 
-def test_saddle_series_side_convention():
-    phi = _geg_phase(1.0, 3.0, 8)
-    plus = saddle_series(phi, side=1)
-    minus = saddle_series(phi, side=-1)
-    assert minus.coeffs[1] == pytest.approx(-plus.coeffs[1], rel=1e-14)
-
-
 def test_saddle_series_rejects_non_minimum():
     with pytest.raises(ValueError):
         saddle_series(Series((0.0, 0.0, -1.0, 0.5)))
