@@ -3,11 +3,8 @@ with large parameters: asymptotic expansions, a quadrature oracle, and
 terminating-hypergeometric closed forms."""
 
 from .asymptotics import (ExpansionResult, closed_form_value,
-                          evaluate_asymptotic, ext_renyi_laguerre_asym,
-                          ext_shannon_laguerre_asym, hermite_type_gegenbauer,
-                          hermite_type_laguerre, optimal_truncation,
-                          renyi_gegenbauer_asym, renyi_laguerre_asym,
-                          shannon_gegenbauer_asym, shannon_laguerre_asym)
+                          evaluate_asymptotic, hermite_type_gegenbauer,
+                          hermite_type_laguerre, optimal_truncation)
 from .functional import Functional, Kind
 from .logvalue import LogValue
 from .oracle import (QuadratureError, QuadResult, hermite_power_integral,
@@ -17,12 +14,9 @@ from .series import Series
 __all__ = [
     "ExpansionResult", "Functional", "Kind", "LogValue", "QuadResult",
     "QuadratureError", "Series", "closed_form_value", "evaluate_asymptotic",
-    "ext_renyi_laguerre_asym", "ext_shannon_laguerre_asym",
     "hermite_power_integral", "hermite_type_gegenbauer",
     "hermite_type_laguerre", "integrate_functional", "optimal_truncation",
-    "renyi_gegenbauer_asym", "renyi_laguerre_asym",
-    "shannon_gegenbauer_asym", "shannon_integrand_value",
-    "shannon_laguerre_asym",
+    "shannon_integrand_value",
 ]
 
 __version__ = "0.1.0"

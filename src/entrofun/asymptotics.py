@@ -3,13 +3,15 @@
 :func:`evaluate_asymptotic` is the one entry point.  Where no expansion
 exists (Gegenbauer Shannon at c = d, extended Shannon at lambda = 1) it
 returns the oracle value with branch ``oracle_only`` and status
-``no_expansion``; otherwise it hands the functional to its kind's evaluator.
-Every evaluator takes ``(F, K=None)``: ``K = None`` is the evaluator's own
+``no_expansion``; otherwise it hands the functional to its family's
+evaluator, ``_laguerre``, ``_gegenbauer`` or ``_extended``, each of which
+takes both kinds of its family as ``(F, K=None)``.  ``K = None`` is the
 default (K_MAX terms truncated optimally for the Renyi kinds, K_MAX terms
 kept for the plain Laguerre and Gegenbauer Shannon kinds, K = 1 kept for the
-extended Shannon kind), and an explicit K keeps exactly K + 1 terms.
+extended Shannon kind), and an explicit K keeps every term built: K + 1 on
+the ladders, at most two on the symmetric and Hermite-limit branches.
 
-Every evaluator returns an :class:`ExpansionResult`: a log-space prefactor,
+Every result is an :class:`ExpansionResult`: a log-space prefactor,
 dimensionless correction terms, the number of terms kept and a branch tag
 recording how the input was routed (Watson ladder, interior-saddle Laplace,
 symmetric case, Hermite limit, or oracle-only fallback).  The value, the
@@ -18,15 +20,14 @@ partial sums and the truncation error estimate derive from those.
 Shannon-type integrals are 2 d/dkappa of the power-type ones at kappa = 2.
 In every family the log-prefactor is linear in kappa with slope ell / 2, so
 the k-th Shannon term is ell t_k + 2 dt_k/dkappa, with ell exact and t_k the
-dimensionless power-type term; ``_shannon_terms`` builds it.  The plain
-Laguerre and Gegenbauer evaluators take (t_k, dt_k/dkappa) from one build of
-the full numeric ladder at kappa = 2, which carries the exact
-kappa-derivative alongside the values (``dkappa=True`` in ``coeffs``), and
-default to K_MAX terms.  No step size is involved; the branch tags keep the
-name ``*_shannon_fd`` because the benchmark's branch checks read them.  The
-extended evaluator takes them from the printed coefficients for K <= 1, its
-default (tag ``laplace_shannon_analytic``), and from the numeric amplitude
-above that.
+dimensionless power-type term; ``_shannon_terms`` builds it.  The Shannon
+kind runs its family's Renyi code at kappa = 2 and asks the ladder build for
+the exact kappa-derivative alongside the values (``dkappa=True`` in
+``coeffs``).  No step size is involved; the branch tags keep the name
+``*_shannon_fd`` because the benchmark's branch checks read them.  The
+extended family takes (t_k, dt_k/dkappa) from the printed coefficients for
+K <= 1, its Shannon default (tag ``laplace_shannon_analytic``), and from the
+numeric amplitude above that.
 """
 
 from __future__ import annotations
@@ -114,18 +115,11 @@ def _no_expansion(F: Functional) -> bool:
     return F.kind is Kind.EXT_LAG_SHANNON and F.lam == 1.0
 
 
-def _reject_no_expansion(F: Functional) -> None:
-    if _no_expansion(F):
-        raise ValueError(f"no expansion exists for {F.params_dict()}; "
-                         "evaluate_asymptotic returns the oracle value")
-
-
 def _shannon_terms(ell: float, t, dt) -> list[float]:
     """Shannon terms from the Renyi terms t_k and their kappa-derivatives:
     2 d/dkappa [P(kappa) t_k(kappa)] / P(2), where log P is linear in kappa
     with slope ell / 2."""
     return [ell * a + 2.0 * b for a, b in zip(t, dt)]
-
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +142,24 @@ def _lag_grouped_terms(c, alpha: float, K: int) -> list[float]:
     return terms
 
 
-def renyi_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Power-type Laguerre integral: prefactor alpha^(kappa m) Gamma(mu) /
+def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
+    """Laguerre integrals: prefactor alpha^(kappa m) Gamma(mu) /
     (lam^mu (m!)^kappa) times the rearranged Watson ladder."""
-    if F.kind is not Kind.LAG_RENYI:
-        raise ValueError(f"expected a {Kind.LAG_RENYI.value} functional")
     force = K is not None
     K = _depth(K)
+    shannon = F.kind.is_shannon
     pref = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam,
                                                 F.kappa))
-    status = "low_confidence" if _low_confidence(F) else "ok"
-    ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, F.m, F.alpha, 2 * K)
-    terms = _lag_grouped_terms(ladder.values, F.alpha, K)
-    return _assemble(pref, terms, "watson", status, force)
-
-
-def shannon_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Shannon-type Laguerre integral via the kappa-derivative at kappa = 2,
-    taken exactly from one build of the numeric Watson ladder."""
-    if F.kind is not Kind.LAG_SHANNON:
-        raise ValueError(f"expected a {Kind.LAG_SHANNON.value} functional")
-    K = _depth(K)
-    if F.m == 0:
-        pref = LogValue.from_log(_lag_prefactor_log(0, F.alpha, F.mu, F.lam, 2.0))
+    if shannon and F.m == 0:
         return _assemble(pref, [0.0] * (K + 1), "watson_shannon_zero",
                          force_truncation=True)
-    pref = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam, 2.0))
     status = "low_confidence" if _low_confidence(F) else "ok"
-    ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
-    ladder = coeffs.lag_C_ladder(F.mu, F.lam, 2.0, F.m, F.alpha, 2 * K,
-                                 dkappa=True)
+    ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, F.m, F.alpha, 2 * K,
+                                 dkappa=shannon)
     t = _lag_grouped_terms(ladder.values, F.alpha, K)
+    if not shannon:
+        return _assemble(pref, t, "watson", status, force)
+    ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
     dt = _lag_grouped_terms(ladder.dkappa, F.alpha, K)
     return _assemble(pref, _shannon_terms(ell, t, dt), "watson_shannon_fd",
                      status, force_truncation=True)
@@ -205,18 +186,23 @@ def _is_symmetric(c: float, d: float) -> bool:
     return abs(c - d) <= _SYMMETRIC_REL_TOL * max(c, d)
 
 
-def renyi_gegenbauer_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Power-type Gegenbauer integral.
+def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
+    """Gegenbauer integrals.
 
     Routes: interior-saddle Laplace ladder for c < d (c > d by the
-    (a, c) <-> (b, d) swap), the symmetric c = d = 1 expansion for kappa = 2,
-    and the Hermite power-integral leading term for symmetric general kappa.
+    (a, c) <-> (b, d) swap); for the Renyi kind at c = d = 1, the symmetric
+    expansion for kappa = 2 and the Hermite power-integral leading term for
+    general kappa.
     """
-    if F.kind is not Kind.GEG_RENYI:
-        raise ValueError(f"expected a {Kind.GEG_RENYI.value} functional")
     force = K is not None
     K = _depth(K)
+    shannon = F.kind.is_shannon
     m, alpha, kappa = F.m, F.alpha, F.kappa
+    if shannon and m == 0:
+        return _assemble(LogValue.zero(), [0.0] * (K + 1),
+                         "laplace_shannon_zero", force_truncation=True)
+    # only the Renyi kind takes this branch: evaluate_asymptotic sends
+    # c = d Shannon to the oracle
     if _is_symmetric(F.c, F.d):
         if abs(F.c - 1.0) > _SYMMETRIC_REL_TOL:
             raise ValueError("the symmetric branch supports c = d = 1 only; "
@@ -238,43 +224,21 @@ def renyi_gegenbauer_asym(F: Functional, K: int | None = None) -> ExpansionResul
         return _assemble(pref, [1.0], "symmetric_hermite_leading", status,
                          force_truncation=True)
     if F.c > F.d:
-        res = renyi_gegenbauer_asym(Functional.geg_renyi(
-            m, alpha, F.b, F.a, F.d, F.c, kappa), K if force else None)
-        return replace(res, branch="laplace_swapped")
-    status = "ok"
-    if _low_confidence(F):
-        status = "low_confidence"
-    elif alpha * _geg_phase_min(F.c, F.d) < 5.0:
-        status = "low_confidence"
+        res = _gegenbauer(replace(F, a=F.b, b=F.a, c=F.d, d=F.c),
+                          K if force else None)
+        return replace(res, branch="laplace_swapped_shannon" if shannon
+                       else "laplace_swapped")
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, kappa))
-    ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K)
-    terms = [v / alpha ** k for k, v in enumerate(ladder.values)]
-    return _assemble(pref, terms, "laplace_cd", status, force)
-
-
-def shannon_gegenbauer_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Shannon-type Gegenbauer integral for c != d: the kappa-derivative of
-    the power-type expansion, taken exactly from one build of the full
-    numeric ladder.  c = d has no expansion and raises ``ValueError``."""
-    if F.kind is not Kind.GEG_SHANNON:
-        raise ValueError(f"expected a {Kind.GEG_SHANNON.value} functional")
-    _reject_no_expansion(F)
-    K = _depth(K)
-    if F.m == 0:
-        return _assemble(LogValue.zero(), [0.0] * (K + 1),
-                         "laplace_shannon_zero", force_truncation=True)
-    if F.c > F.d:
-        res = shannon_gegenbauer_asym(Functional.geg_shannon(
-            F.m, F.alpha, F.b, F.a, F.d, F.c), K)
-        return replace(res, branch="laplace_swapped_shannon")
-    m, alpha = F.m, F.alpha
-    pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, 2.0))
+    ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K,
+                                 dkappa=shannon)
+    t = [v / alpha ** k for k, v in enumerate(ladder.values)]
+    if not shannon:
+        # every asymmetric Renyi result is flagged; no test yet tells how far
+        # the saddle must sit from c = d for the ladder to hold
+        return _assemble(pref, t, "laplace_cd", "low_confidence", force)
     status = "low_confidence" if _low_confidence(F) else "ok"
     ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
            - 2.0 * log_factorial(m))
-    ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, 2.0, m, alpha, K,
-                                 dkappa=True)
-    t = [v / alpha ** k for k, v in enumerate(ladder.values)]
     dt = [v / alpha ** k for k, v in enumerate(ladder.dkappa)]
     return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
                      status, force_truncation=True)
@@ -293,19 +257,22 @@ def _ext_prefactor_log(m: int, alpha: float, sigma: float, lam: float,
             + kappa * m * math.log(alpha) - kappa * log_factorial(m))
 
 
-def ext_renyi_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Power-type extended Laguerre integral (weight x^(alpha+sigma-1)).
+def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
+    """Extended Laguerre integrals (weight x^(alpha+sigma-1)).
 
-    lambda != 1 uses the interior-saddle Laplace ladder; lambda = 1 uses the
-    Hermite limit (closed leading value for kappa = 2, the Hermite power
-    integral otherwise).
+    lambda != 1 uses the interior-saddle Laplace ladder.  At lambda = 1 the
+    Renyi kind uses the Hermite limit (closed leading value for kappa = 2,
+    the Hermite power integral otherwise).  The Shannon kind takes the
+    printed ladder for K <= 1 (the default is 1) and the exact
+    kappa-derivative of the full numeric amplitude above that.
     """
-    if F.kind is not Kind.EXT_LAG_RENYI:
-        raise ValueError(f"expected a {Kind.EXT_LAG_RENYI.value} functional")
     force = K is not None
-    K = _depth(K)
+    shannon = F.kind.is_shannon
+    K = _depth(K, default=1 if shannon else K_MAX)
     m, alpha, sigma, lam, kappa = F.m, F.alpha, F.sigma, F.lam, F.kappa
     status = "low_confidence" if _low_confidence(F) else "ok"
+    # only the Renyi kind takes this branch: evaluate_asymptotic sends
+    # lambda = 1 Shannon to the oracle
     if lam == 1.0:
         if kappa == 2.0:
             pref = LogValue.from_log((alpha + sigma + m) * math.log(alpha)
@@ -320,41 +287,25 @@ def ext_renyi_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionRes
         return _assemble(pref, [1.0], "hermite_limit_power", status,
                          force_truncation=True)
     pref = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, kappa))
-    amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, order=2 * K)
-    terms = laplace_terms(amp, alpha, K)
-    return _assemble(pref, terms, "laplace_lambda_ne1", status, force)
-
-
-def ext_shannon_laguerre_asym(F: Functional, K: int | None = None) -> ExpansionResult:
-    """Shannon-type extended Laguerre integral for lambda != 1, by the
-    kappa-derivative structure; lambda = 1 has no expansion and raises
-    ``ValueError``.  K <= 1 (the default is 1) uses the printed ladder;
-    larger K takes the exact kappa-derivative of the full numeric amplitude
-    from one build.
-    """
-    if F.kind is not Kind.EXT_LAG_SHANNON:
-        raise ValueError(f"expected a {Kind.EXT_LAG_SHANNON.value} functional")
-    _reject_no_expansion(F)
-    K = _depth(K, default=1)
-    m, alpha, sigma, lam = F.m, F.alpha, F.sigma, F.lam
-    if F.m == 0:
-        pref = LogValue.from_log(_ext_prefactor_log(0, alpha, sigma, lam, 2.0))
+    if not shannon:
+        amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K)
+        return _assemble(pref, laplace_terms(amp, alpha, K),
+                         "laplace_lambda_ne1", status, force)
+    if m == 0:
         return _assemble(pref, [0.0] * (K + 1), "laplace_shannon_zero",
                          force_truncation=True)
-    pref = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, 2.0))
-    status = "low_confidence" if _low_confidence(F) else "ok"
     ell = (2.0 * m * (math.log(alpha) + math.log(abs(lam - 1.0))
                       - math.log(lam)) - 2.0 * log_factorial(m))
     if K <= 1:
-        d = [coeffs.ext_lag_D(k, sigma, lam, 2.0, m) for k in range(K + 1)]
-        dp = [coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, 2.0, m)
+        d = [coeffs.ext_lag_D(k, sigma, lam, kappa, m) for k in range(K + 1)]
+        dp = [coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, kappa, m)
               for k in range(K + 1)]
         terms = [s / alpha ** k
                  for k, s in enumerate(_shannon_terms(ell, d, dp))]
         return _assemble(pref, terms, "laplace_shannon_analytic", status,
                          force_truncation=True)
-    amp, damp = coeffs.ext_lag_amplitude(sigma, lam, 2.0, m, alpha,
-                                         order=2 * K, dkappa=True)
+    amp, damp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K,
+                                         dkappa=True)
     t, dt = laplace_terms(amp, alpha, K), laplace_terms(damp, alpha, K)
     return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
                      status, force_truncation=True)
@@ -438,12 +389,9 @@ def hermite_type_laguerre(m: int, alpha: float, x: float,
 # ---------------------------------------------------------------------------
 
 _EVALUATORS = {
-    Kind.LAG_RENYI: renyi_laguerre_asym,
-    Kind.LAG_SHANNON: shannon_laguerre_asym,
-    Kind.GEG_RENYI: renyi_gegenbauer_asym,
-    Kind.GEG_SHANNON: shannon_gegenbauer_asym,
-    Kind.EXT_LAG_RENYI: ext_renyi_laguerre_asym,
-    Kind.EXT_LAG_SHANNON: ext_shannon_laguerre_asym,
+    Kind.LAG_RENYI: _laguerre, Kind.LAG_SHANNON: _laguerre,
+    Kind.GEG_RENYI: _gegenbauer, Kind.GEG_SHANNON: _gegenbauer,
+    Kind.EXT_LAG_RENYI: _extended, Kind.EXT_LAG_SHANNON: _extended,
 }
 
 
@@ -454,12 +402,13 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
     Where no expansion exists (Gegenbauer Shannon at c = d, extended Shannon
     at lambda = 1) this returns the oracle value at ``tol_rel``, with branch
     ``oracle_only`` and status ``no_expansion``; K is then unused.  Otherwise
-    ``K = None`` takes the evaluator's own default: K_MAX terms truncated
-    optimally for the Renyi kinds, K_MAX terms kept for the plain Laguerre
-    and Gegenbauer Shannon kinds, and K = 1 kept for the extended Shannon
-    kind (printed coefficients, the only route that produces the
-    ``laplace_shannon_analytic`` branch the benchmark requires).  An explicit
-    K keeps exactly K + 1 terms.
+    the family evaluator runs, and ``K = None`` takes its default: K_MAX
+    terms truncated optimally for the Renyi kinds, K_MAX terms kept for the
+    plain Laguerre and Gegenbauer Shannon kinds, and K = 1 kept for the
+    extended Shannon kind (printed coefficients, the only route that
+    produces the ``laplace_shannon_analytic`` branch the benchmark
+    requires).  An explicit K keeps every term built: K + 1 on the ladders,
+    at most two on the symmetric and Hermite-limit branches.
     """
     if _no_expansion(F):
         q = oracle.integrate_functional(F, tol_rel)

@@ -42,6 +42,8 @@ class SweepSpec:
             raise ValueError("sweep requires count >= 2")
         if not self.alpha_start > 0:
             raise ValueError("sweep requires alpha_start > 0")
+        if not self.alpha_stop > 0:
+            raise ValueError("sweep requires alpha_stop > 0")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if not self.methods:

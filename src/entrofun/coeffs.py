@@ -34,8 +34,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .series import (DEFAULT_ORDER, Series, _double_factorial_odd, saddle_series,
-                     series_log, series_pow)
+from .series import (Series, _double_factorial_odd, saddle_series, series_log,
+                     series_pow)
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def geg_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
     return _pow_dkappa(base, kappa, dkappa)
 
 
-def geg_saddle_x(c: float, d: float, order: int = DEFAULT_ORDER):
+def geg_saddle_x(c: float, d: float, order: int):
     """Saddle location x_m = (d-c)/(d+c) and the series s(y) = x(y) - x_m
     solving the quadratic normalisation of the exponent phase."""
     if c <= 0 or d <= 0:
@@ -285,7 +285,7 @@ def _geg_amplitude(frame, j: int, kappa: float, m: int, order: int) -> Series:
 
 
 def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
-                  kappa: float, m: int, order: int = DEFAULT_ORDER) -> Series:
+                  kappa: float, m: int, order: int) -> Series:
     """Amplitude series (1-x)^a (1+x)^b x^(kappa m - 2j) dx/dy in powers of y,
     about the interior saddle; requires 0 < c < d."""
     return _geg_amplitude(_geg_frame(a, b, c, d, order), j, kappa, m, order)
@@ -365,7 +365,7 @@ def lag_hermite_coeffs(m: int, alpha: float, x: float) -> tuple[list[float], lis
 # Extended Laguerre (mu = alpha + sigma) ladder, lambda != 1
 # ---------------------------------------------------------------------------
 
-def ext_saddle_x(lam: float, order: int = DEFAULT_ORDER):
+def ext_saddle_x(lam: float, order: int):
     """Saddle x_0 = 1/lam of lam*x - log x - 1 and the series x(y) - x_0."""
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -375,7 +375,7 @@ def ext_saddle_x(lam: float, order: int = DEFAULT_ORDER):
 
 
 def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
-                      alpha: float, order: int = DEFAULT_ORDER,
+                      alpha: float, order: int,
                       dkappa: bool = False):
     """Normalised Laplace amplitude of the extended Laguerre integral.
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-DEFAULT_ORDER = 16
-
 
 @dataclass(frozen=True)
 class Series:

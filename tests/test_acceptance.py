@@ -12,12 +12,8 @@ import pytest
 
 from entrofun import coeffs as cf
 from entrofun.asymptotics import (K_MAX, evaluate_asymptotic,
-                                  ext_renyi_laguerre_asym,
-                                  ext_shannon_laguerre_asym,
                                   hermite_type_gegenbauer,
-                                  hermite_type_laguerre,
-                                  renyi_gegenbauer_asym, renyi_laguerre_asym,
-                                  shannon_laguerre_asym)
+                                  hermite_type_laguerre)
 from entrofun.closedforms import (geg22_value, geg31_value, lag24_value,
                                   more15_value, more24_value)
 from entrofun.functional import Functional
@@ -81,7 +77,7 @@ def test_criterion_02_watson_order():
         rs = []
         for alpha in (400.0, 800.0):
             F = Functional.lag_renyi(m, alpha, mu, lam, kappa)
-            est = renyi_laguerre_asym(F, K=2).value
+            est = evaluate_asymptotic(F, K=2).value
             ref = integrate_functional(F, 1e-12).value
             rs.append(_rel(est, ref))
         if max(rs) < 1e-11:
@@ -99,7 +95,7 @@ def test_criterion_03_d1_extraction():
         es = []
         for alpha in (400.0, 800.0):
             F = Functional.lag_renyi(m, alpha, mu, lam, kappa)
-            lead = renyi_laguerre_asym(F, K=0).value
+            lead = evaluate_asymptotic(F, K=0).value
             ref = integrate_functional(F, 1e-12).value
             es.append(alpha * ((ref / lead).to_float() - 1.0))
         extracted = 2 * es[1] - es[0]
@@ -125,7 +121,7 @@ def test_criterion_05_interior_saddle_leading():
         devs = []
         for alpha in (200.0, 400.0):
             F = Functional.geg_renyi(m, alpha, -0.5, 2 * m - 1.5, 1.0, 3.0, 2.0)
-            lead = renyi_gegenbauer_asym(F, K=0).value
+            lead = evaluate_asymptotic(F, K=0).value
             devs.append(_rel(geg22_value(m, alpha), lead))
         assert devs[0] <= 0.2
         assert 1.6 <= devs[0] / devs[1] <= 2.5, (m, devs)
@@ -136,7 +132,7 @@ def test_criterion_06_symmetric_two_term():
     for m in (1, 2, 3):
         for alpha in (100.0, 200.0, 400.0):
             F = Functional.geg_renyi(m, alpha, -0.5, -1.5, 1.0, 1.0, 2.0)
-            est = renyi_gegenbauer_asym(F, K=1).value
+            est = evaluate_asymptotic(F, K=1).value
             dev = _rel(geg31_value(m, alpha), est)
             assert dev <= 30.0 / alpha ** 2, (m, alpha, dev)
 
@@ -149,7 +145,7 @@ def test_criterion_07_ext_order():
             rs = []
             for alpha in (200.0, 400.0, 800.0):
                 F = Functional.ext_renyi(m, alpha, 1.0, lam, 2.0)
-                est = ext_renyi_laguerre_asym(F, K=1).value
+                est = evaluate_asymptotic(F, K=1).value
                 rs.append(_rel(est, more15_value(m, alpha, lam)))
             for i in (0, 1):
                 assert 3.2 <= rs[i] / rs[i + 1] <= 5.0, (m, lam, rs)
@@ -162,7 +158,7 @@ def test_criterion_08_ext_lambda_one():
         devs = []
         for alpha in (400.0, 800.0):
             F = Functional.ext_renyi(m, alpha, 1.0, 1.0, 2.0)
-            lead = ext_renyi_laguerre_asym(F).value
+            lead = evaluate_asymptotic(F).value
             devs.append(_rel(more24_value(m, alpha), lead))
         assert devs[0] <= 0.1
         assert 1.6 <= devs[0] / devs[1] <= 2.5, (m, devs)
@@ -283,10 +279,10 @@ def test_criterion_11_shannon():
         mu, lam = 2.0, 1.5
         F = Functional.lag_shannon(m, alpha, mu, lam)
         for K in (2, K_MAX):
-            ladder = shannon_laguerre_asym(F, K=K).value
+            ladder = evaluate_asymptotic(F, K=K).value
 
             def renyi_trunc(kappa):
-                return renyi_laguerre_asym(
+                return evaluate_asymptotic(
                     Functional.lag_renyi(m, alpha, mu, lam, kappa), K=K).value
 
             fd = (renyi_trunc(2.0 + h) - renyi_trunc(2.0 - h)) \
@@ -296,7 +292,7 @@ def test_criterion_11_shannon():
         # extended family
         sigma, lam2 = 1.0, 2.0
         F5 = Functional.ext_shannon(m, alpha, sigma, lam2)
-        analytic5 = ext_shannon_laguerre_asym(F5, K=1).value
+        analytic5 = evaluate_asymptotic(F5, K=1).value
 
         def ext_trunc(kappa):
             pref = ((alpha + sigma) * math.log(alpha) - alpha
@@ -315,10 +311,10 @@ def test_criterion_11_shannon():
         errs_lag, errs_ext = [], []
         for a in (200.0, 400.0, 800.0):
             F = Functional.lag_shannon(m, a, 2.0, 1.5)
-            est = shannon_laguerre_asym(F, K=2).value
+            est = evaluate_asymptotic(F, K=2).value
             errs_lag.append(_rel(est, integrate_functional(F, 1e-11).value))
             F5 = Functional.ext_shannon(m, a, 1.0, 2.0)
-            est5 = ext_shannon_laguerre_asym(F5, K=1).value
+            est5 = evaluate_asymptotic(F5, K=1).value
             errs_ext.append(_rel(est5, integrate_functional(F5, 1e-11).value))
         assert errs_lag[0] > errs_lag[1] > errs_lag[2], (m, errs_lag)
         assert errs_ext[0] > errs_ext[1] > errs_ext[2], (m, errs_ext)

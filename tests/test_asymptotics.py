@@ -8,14 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from entrofun import coeffs
 from entrofun.asymptotics import (_EVALUATORS, K_MAX, ExpansionResult,
-                                  closed_form_value,
-                                  evaluate_asymptotic, ext_renyi_laguerre_asym,
-                                  ext_shannon_laguerre_asym,
+                                  closed_form_value, evaluate_asymptotic,
                                   hermite_type_gegenbauer,
-                                  hermite_type_laguerre, optimal_truncation,
-                                  renyi_gegenbauer_asym, renyi_laguerre_asym,
-                                  shannon_gegenbauer_asym,
-                                  shannon_laguerre_asym)
+                                  hermite_type_laguerre, optimal_truncation)
 from entrofun.closedforms import (geg31_value, lag24_value, log_gamma,
                                   more15_value, more24_value)
 from entrofun.coeffs import ext_lag_D, lag_D
@@ -36,7 +31,7 @@ def test_optimal_truncation():
 
 def test_partial_sum_invariant():
     F = Functional.lag_renyi(2, 150.0, 2.0, 1.5, 2.5)
-    res = renyi_laguerre_asym(F, K=4)
+    res = evaluate_asymptotic(F, K=4)
     for k in range(len(res.terms)):
         expect = res.prefactor.scaled(math.fsum(res.terms[:k + 1]))
         assert res.partial_sums[k].rel_diff(expect) <= 1e-14
@@ -49,7 +44,7 @@ def test_partial_sum_invariant():
 
 def test_renyi_laguerre_m0_prefactor_exact():
     F = Functional.lag_renyi(0, 77.0, 2.3, 1.4, 1.9)
-    res = renyi_laguerre_asym(F)
+    res = evaluate_asymptotic(F)
     expect = LogValue.from_log(log_gamma(2.3) - 2.3 * math.log(1.4))
     assert res.prefactor.rel_diff(expect) <= 1e-13
     assert all(t == 0.0 for t in res.terms[1:])
@@ -58,7 +53,7 @@ def test_renyi_laguerre_m0_prefactor_exact():
 
 def test_renyi_laguerre_two_terms_vs_closed():
     F = Functional.lag_renyi(2, 200.0, 2.5, 1.0, 2.0)
-    res = renyi_laguerre_asym(F, K=2)
+    res = evaluate_asymptotic(F, K=2)
     assert res.value.rel_diff(lag24_value(2, 200.0, 2.5)) <= 5e-5
     assert res.branch == "watson"
 
@@ -69,13 +64,13 @@ def test_renyi_laguerre_term_matches_printed_ladder():
     d1 = lag_D(1, mu, lam, kappa, m)
     for alpha in (1e5, 2e5):
         F = Functional.lag_renyi(m, alpha, mu, lam, kappa)
-        res = renyi_laguerre_asym(F, K=1)
+        res = evaluate_asymptotic(F, K=1)
         assert res.terms[1] * alpha == pytest.approx(d1, rel=2e-4)
 
 
 def test_shannon_laguerre_m0_zero():
     F = Functional.lag_shannon(0, 120.0, 2.0, 1.0)
-    res = shannon_laguerre_asym(F)
+    res = evaluate_asymptotic(F)
     assert res.value.is_zero
 
 
@@ -85,7 +80,7 @@ def test_shannon_laguerre_routes_agree():
     alpha = 500.0
     for (m, lam, mu) in [(1, 1.0, 2.0), (2, 2.0, 1.5)]:
         F = Functional.lag_shannon(m, alpha, mu, lam)
-        res = shannon_laguerre_asym(F, K=2)
+        res = evaluate_asymptotic(F, K=2)
         ell = 2 * m * math.log(alpha) - 2 * math.lgamma(m + 1)
         printed = math.fsum(
             (ell * lag_D(k, mu, lam, 2.0, m)
@@ -98,7 +93,7 @@ def test_shannon_laguerre_log_factor_structure():
     # leading term is log(alpha^(2m)/(m!)^2) times the unit coefficient
     m, alpha = 2, 400.0
     F = Functional.lag_shannon(m, alpha, 2.0, 1.0)
-    res = shannon_laguerre_asym(F, K=0)
+    res = evaluate_asymptotic(F, K=0)
     ell = 2 * m * math.log(alpha) - 2 * math.lgamma(m + 1)
     assert res.terms[0] == pytest.approx(ell, rel=1e-13)
 
@@ -108,7 +103,7 @@ def test_shannon_laguerre_error_decreases():
     errs = []
     for alpha in (200.0, 400.0, 800.0):
         F = Functional.lag_shannon(m, alpha, mu, lam)
-        est = shannon_laguerre_asym(F, K=2).value
+        est = evaluate_asymptotic(F, K=2).value
         ref = integrate_functional(F, 1e-11).value
         errs.append(est.rel_diff(ref))
     assert errs[0] > errs[1] > errs[2]
@@ -147,11 +142,11 @@ def test_shannon_laguerre_ok_agrees_with_oracle(m, log_alpha, mu, lam):
 def test_renyi_gegenbauer_m0_matches_beta_integral():
     F = Functional.geg_renyi(0, 400.0, 0.3, -0.2, 1.0, 2.5, 2.0)
     exact = closed_form_value(F)
-    res = renyi_gegenbauer_asym(F, K=3)
+    res = evaluate_asymptotic(F, K=3)
     assert res.value.rel_diff(exact) <= 1e-8
-    dev_lead = renyi_gegenbauer_asym(F, K=0).value.rel_diff(exact)
+    dev_lead = evaluate_asymptotic(F, K=0).value.rel_diff(exact)
     F2 = Functional.geg_renyi(0, 800.0, 0.3, -0.2, 1.0, 2.5, 2.0)
-    dev_lead_2 = renyi_gegenbauer_asym(F2, K=0).value.rel_diff(
+    dev_lead_2 = evaluate_asymptotic(F2, K=0).value.rel_diff(
         closed_form_value(F2))
     assert 1.6 <= dev_lead / dev_lead_2 <= 2.5
 
@@ -161,7 +156,7 @@ def test_renyi_gegenbauer_leading_order_special_case():
     # extra sqrt(2) relative to the misprinted reduction
     m, alpha = 2, 300.0
     F = Functional.geg_renyi(m, alpha, -0.5, 2 * m - 1.5, 1.0, 3.0, 2.0)
-    lead = renyi_gegenbauer_asym(F, K=0).value
+    lead = evaluate_asymptotic(F, K=0).value
     poch = math.fsum(math.log(alpha + k) for k in range(m))
     printed_form = ((3 * alpha + 2 * m - 1) * math.log(3.0)
                     + 0.5 * (math.log(math.pi) - math.log(alpha))
@@ -175,8 +170,8 @@ def test_renyi_gegenbauer_leading_order_special_case():
 def test_renyi_gegenbauer_swap_branch():
     F1 = Functional.geg_renyi(2, 120.0, 0.3, -0.4, 0.9, 2.0, 1.6)
     F2 = Functional.geg_renyi(2, 120.0, -0.4, 0.3, 2.0, 0.9, 1.6)
-    r1 = renyi_gegenbauer_asym(F1, K=3)
-    r2 = renyi_gegenbauer_asym(F2, K=3)
+    r1 = evaluate_asymptotic(F1, K=3)
+    r2 = evaluate_asymptotic(F2, K=3)
     assert r1.value.rel_diff(r2.value) <= 1e-13
     assert r2.branch == "laplace_swapped"
 
@@ -185,14 +180,14 @@ def test_renyi_gegenbauer_symmetric_two_term():
     for m in (1, 3):
         for alpha in (150.0, 300.0):
             F = Functional.geg_renyi(m, alpha, -0.5, -1.5, 1.0, 1.0, 2.0)
-            res = renyi_gegenbauer_asym(F, K=1)
+            res = evaluate_asymptotic(F, K=1)
             assert res.branch == "symmetric_kappa2"
             assert res.value.rel_diff(geg31_value(m, alpha)) <= 40.0 / alpha ** 2
 
 
 def test_renyi_gegenbauer_symmetric_general_kappa():
     F = Functional.geg_renyi(2, 200.0, -0.5, -1.5, 1.0, 1.0, 3.0)
-    res = renyi_gegenbauer_asym(F)
+    res = evaluate_asymptotic(F)
     assert res.branch == "symmetric_hermite_leading"
     ref = integrate_functional(F, 1e-10).value
     assert res.value.rel_diff(ref) <= 10.0 / 200.0
@@ -201,7 +196,7 @@ def test_renyi_gegenbauer_symmetric_general_kappa():
 def test_renyi_gegenbauer_rejects_general_symmetric_weights():
     F = Functional.geg_renyi(1, 100.0, 0.0, 0.0, 2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
-        renyi_gegenbauer_asym(F)
+        evaluate_asymptotic(F)
 
 
 def test_shannon_gegenbauer_no_expansion_routing():
@@ -213,19 +208,9 @@ def test_shannon_gegenbauer_no_expansion_routing():
     assert res.value.rel_diff(ref) <= 1e-9
 
 
-def test_shannon_gegenbauer_rejects_symmetric_weights():
-    # c = d has no expansion; only the front door falls back to the oracle
-    for F in (Functional.gegenbauer_weight_shannon(2, 80.0),
-              Functional.geg_shannon(3, 200.0, 0.1, 0.2, 2.0, 2.0)):
-        with pytest.raises(ValueError, match="no expansion"):
-            shannon_gegenbauer_asym(F)
-        with pytest.raises(ValueError, match="no expansion"):
-            shannon_gegenbauer_asym(F, K=3)
-
-
 def test_shannon_gegenbauer_m0_zero():
     F = Functional.geg_shannon(0, 100.0, 0.1, 0.2, 1.0, 2.0)
-    assert shannon_gegenbauer_asym(F).value.is_zero
+    assert evaluate_asymptotic(F).value.is_zero
 
 
 def test_shannon_gegenbauer_fd_matches_analytic_leading():
@@ -233,7 +218,7 @@ def test_shannon_gegenbauer_fd_matches_analytic_leading():
     # coefficient D_0 and its kappa-derivative D_0 m log((d - c)/(c + d))
     m, alpha, a, b, c, d = 1, 500.0, 0.2, -0.3, 1.0, 3.0
     F = Functional.geg_shannon(m, alpha, a, b, c, d)
-    fd = shannon_gegenbauer_asym(F, K=0)
+    fd = evaluate_asymptotic(F, K=0)
     d0 = coeffs.geg_D0(a, b, c, d, 2.0, m)
     d0_prime = d0 * m * math.log((d - c) / (c + d))
     ell = (2 * m * math.log(2.0) + 2.0 * math.log(alpha)
@@ -250,13 +235,13 @@ def test_ext_renyi_m0_matches_stirling():
     F = Functional.ext_renyi(0, 500.0, 1.3, 2.0, 2.0)
     exact = LogValue.from_log(log_gamma(500.0 + 1.3)
                               - (500.0 + 1.3) * math.log(2.0))
-    res = ext_renyi_laguerre_asym(F, K=3)
+    res = evaluate_asymptotic(F, K=3)
     assert res.value.rel_diff(exact) <= 1e-11
 
 
 def test_ext_renyi_one_term_vs_closed():
     F = Functional.ext_renyi(1, 300.0, 1.0, 2.0, 2.0)
-    res = ext_renyi_laguerre_asym(F, K=1)
+    res = evaluate_asymptotic(F, K=1)
     assert res.value.rel_diff(more15_value(1, 300.0, 2.0)) <= 1e-3
     assert res.branch == "laplace_lambda_ne1"
 
@@ -265,14 +250,14 @@ def test_ext_renyi_lambda1_ratio_to_closed():
     devs = []
     for alpha in (400.0, 800.0):
         F = Functional.ext_renyi(1, alpha, 1.0, 1.0, 2.0)
-        lead = ext_renyi_laguerre_asym(F).value
+        lead = evaluate_asymptotic(F).value
         devs.append(abs(more24_value(1, alpha).rel_diff(lead)))
     assert 1.6 <= devs[0] / devs[1] <= 2.5
 
 
 def test_ext_renyi_lambda1_general_kappa_vs_oracle():
     F = Functional.ext_renyi(2, 150.0, 0.7, 1.0, 1.5)
-    res = ext_renyi_laguerre_asym(F)
+    res = evaluate_asymptotic(F)
     assert res.branch == "hermite_limit_power"
     ref = integrate_functional(F, 1e-9).value
     assert res.value.rel_diff(ref) <= 15.0 / 150.0
@@ -280,7 +265,7 @@ def test_ext_renyi_lambda1_general_kappa_vs_oracle():
 
 def test_ext_shannon_m0_zero():
     F = Functional.ext_shannon(0, 200.0, 1.0, 2.0)
-    assert ext_shannon_laguerre_asym(F).value.is_zero
+    assert evaluate_asymptotic(F).value.is_zero
 
 
 def test_ext_shannon_lambda1_no_expansion():
@@ -291,14 +276,6 @@ def test_ext_shannon_lambda1_no_expansion():
     assert res.value.rel_diff(ref) <= 1e-9
 
 
-def test_ext_shannon_rejects_lambda1():
-    F = Functional.ext_shannon(1, 60.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="no expansion"):
-        ext_shannon_laguerre_asym(F)
-    with pytest.raises(ValueError, match="no expansion"):
-        ext_shannon_laguerre_asym(F, K=3)
-
-
 def test_ext_shannon_routes_agree():
     # The analytic derivative must match a central difference in kappa of
     # the same truncated ladder object to finite-difference accuracy; the
@@ -306,7 +283,7 @@ def test_ext_shannon_routes_agree():
     # incompletely assembled next order.
     m, alpha, sigma, lam = 1, 400.0, 1.0, 2.0
     F = Functional.ext_shannon(m, alpha, sigma, lam)
-    an = ext_shannon_laguerre_asym(F, K=1)
+    an = evaluate_asymptotic(F, K=1)
     assert an.branch == "laplace_shannon_analytic"
 
     def renyi_d_truncated(kappa):
@@ -339,14 +316,14 @@ def test_ext_shannon_error_decreases():
     errs = []
     for alpha in (200.0, 400.0, 800.0):
         F = Functional.ext_shannon(2, alpha, 1.0, 2.0)
-        est = ext_shannon_laguerre_asym(F, K=1).value
+        est = evaluate_asymptotic(F, K=1).value
         ref = integrate_functional(F, 1e-11).value
         errs.append(est.rel_diff(ref))
     assert errs[0] > errs[1] > errs[2]
 
 
 def _ext_fd(F):
-    return ext_shannon_laguerre_asym(F, K=7)
+    return evaluate_asymptotic(F, K=7)
 
 
 @pytest.mark.parametrize("F, evaluate, branch", [
@@ -401,14 +378,14 @@ def test_shannon_fd_route_builds_once(monkeypatch, target, F, evaluate):
 
 def test_low_confidence_flag():
     F = Functional.lag_renyi(3, 15.0, 2.0, 1.0, 2.0)  # alpha < 10 kappa m
-    assert renyi_laguerre_asym(F).status == "low_confidence"
+    assert evaluate_asymptotic(F).status == "low_confidence"
     F = Functional.lag_renyi(3, 100.0, 2.0, 1.0, 2.0)
-    assert renyi_laguerre_asym(F).status == "ok"
+    assert evaluate_asymptotic(F).status == "ok"
 
 
 def test_near_symmetric_flag():
     F = Functional.geg_renyi(1, 50.0, 0.0, 0.0, 1.0, 1.02, 2.0)
-    assert renyi_gegenbauer_asym(F).status == "low_confidence"
+    assert evaluate_asymptotic(F).status == "low_confidence"
 
 
 def test_evaluate_asymptotic_dispatch():
@@ -427,21 +404,25 @@ def test_evaluate_asymptotic_dispatch():
 
 
 def test_evaluators_share_one_signature():
-    for kind, fn in _EVALUATORS.items():
+    # one evaluator per family serves both of its kinds
+    families = set(_EVALUATORS.values())
+    assert len(families) == 3
+    for fn in families:
         params = list(inspect.signature(fn).parameters.values())
-        assert [p.name for p in params] == ["F", "K"], kind
-        assert params[1].default is None, kind
+        assert [p.name for p in params] == ["F", "K"], fn
+        assert params[1].default is None, fn
 
 
 def test_explicit_K_keeps_every_term():
     # K = None truncates the Renyi ladders optimally; an explicit K keeps
     # K + 1 terms, through the evaluator and the front door alike
     F = Functional.lag_renyi(2, 150.0, 1.5, 2.0, 3.0)
+    evaluate = _EVALUATORS[F.kind]
     for K in (0, 3, K_MAX):
-        res = renyi_laguerre_asym(F, K)
+        res = evaluate(F, K)
         assert res.truncation_used == len(res.terms) == K + 1
         assert evaluate_asymptotic(F, K) == res
-    assert evaluate_asymptotic(F) == renyi_laguerre_asym(F)
+    assert evaluate_asymptotic(F) == evaluate(F)
 
 
 def _bench_workloads():
@@ -475,7 +456,7 @@ def test_geg_order_of_accuracy():
         rs = []
         for alpha in (200.0, 400.0):
             F = Functional.geg_renyi(2, alpha, -0.5, 2.5, 1.0, 3.0, 2.0)
-            est = renyi_gegenbauer_asym(F, K=K).value
+            est = evaluate_asymptotic(F, K=K).value
             ref = integrate_functional(F, 1e-12).value
             rs.append(est.rel_diff(ref))
         assert 2.0 ** (K + 0.1) <= rs[0] / rs[1] <= 2.0 ** (K + 1.9), (K, rs)
@@ -483,7 +464,7 @@ def test_geg_order_of_accuracy():
 
 def test_partial_sums_monotone_refinement():
     F = Functional.lag_renyi(2, 150.0, 1.5, 2.0, 3.0)
-    res = renyi_laguerre_asym(F, K=4)
+    res = evaluate_asymptotic(F, K=4)
     ref = integrate_functional(F, 1e-12).value
     devs = [ps.rel_diff(ref) for ps in res.partial_sums[:res.truncation_used]]
     for i in range(len(devs) - 1):

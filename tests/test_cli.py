@@ -289,6 +289,9 @@ def test_sweep_spec_validation():
         SweepSpec(F, 10.0, 100.0, 1)
     with pytest.raises(ValueError):
         SweepSpec(F, -1.0, 100.0, 3)
+    for stop, spacing in ((0.0, "log"), (-5.0, "linear")):
+        with pytest.raises(ValueError, match="alpha_stop"):
+            SweepSpec(F, 200.0, stop, 3, spacing=spacing)
     with pytest.raises(ValueError):
         SweepSpec(F, 10.0, 100.0, 3, methods=())
     grid = SweepSpec(F, 10.0, 10000.0, 4).grid()

@@ -398,9 +398,9 @@ def test_geg_laplace_c_first_coefficients():
 
 def test_geg_laplace_c_requires_ordered_weights():
     with pytest.raises(ValueError):
-        cf.geg_laplace_c(0, 0.0, 0.0, 3.0, 1.0, 2.0, 1)
+        cf.geg_laplace_c(0, 0.0, 0.0, 3.0, 1.0, 2.0, 1, order=16)
     with pytest.raises(ValueError):
-        cf.geg_laplace_c(0, 0.0, 0.0, 1.0, 1.0, 2.0, 1)
+        cf.geg_laplace_c(0, 0.0, 0.0, 1.0, 1.0, 2.0, 1, order=16)
 
 
 def _geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, order):
@@ -661,7 +661,7 @@ def test_ext_lag_amplitude_bitwise_matches_deeper_build():
 
 def test_ext_amplitude_rejects_symmetric_lambda():
     with pytest.raises(ValueError):
-        cf.ext_lag_amplitude(1.0, 1.0, 2.0, 1, 100.0)
+        cf.ext_lag_amplitude(1.0, 1.0, 2.0, 1, 100.0, order=16)
 
 
 # ---------------------------------------------------------------------------
