@@ -5,11 +5,19 @@ Each integral is split into segments delimited by the zeros of the
 polynomial (where |p|^kappa has integrable kinks and p^2 log p^2 has
 removable singularities) and integrated per segment with a tanh-sinh
 (double-exponential) rule under progressive step halving (Takahasi and
-Mori, Publ. RIMS 9, 1974).  Each segment stores the running sum of every
-level it has evaluated, so refinement never evaluates a level twice, and
-the missing levels of all unsettled segments are evaluated together, in
-batched calls of the integrand: the first pass asks for levels 0 to 3 of
-every segment at once, since none can settle before its level 3 exists.
+Mori, Publ. RIMS 9, 1974).  At large alpha the Gegenbauer and extended
+Laguerre weights concentrate within O(alpha^-1/2) of their peak, the point
+the saddle-point expansions expand about.  When the peak lies more than 6
+peak widths from both ends of its segment, as it does at large alpha for
+c != d and lam != 1, that one segment is split at the peak and at 3 widths
+either side, so no narrow peak sits inside an O(1) segment.  For c = d and
+lam = 1 the peak lies among the zeros, whose segments are already
+O(alpha^-1/2) wide, and the bounds stay as the zeros delimit them.  Each
+segment stores the running sum of every level it has evaluated, so
+refinement never evaluates a level twice, and the missing levels of all
+unsettled segments are evaluated together, in batched calls of the
+integrand: the first pass asks for levels 0 to 3 of every segment at once,
+since none can settle before its level 3 exists.
 
 All floating-point work happens after dividing the integrand by a log-space
 scale close to its peak, so magnitudes stay near unity even where the true
@@ -18,6 +26,7 @@ values overflow doubles.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -37,6 +46,11 @@ _MAX_LEVEL = 11
 # as a constant: building that level costs ~5 ms and ~2.7 MB of temporaries
 # in a process whose integrals never reach it
 _BATCH_NODES = 24986
+# breakpoints around a large-alpha peak, in units of its width, and the
+# widths that must separate the peak from both ends of its segment before
+# the segment is split (chosen by the scan recorded in CHANGES.md)
+_PEAK_STEPS = (-3.0, 0.0, 3.0)
+_PEAK_CLEARANCE = 6.0
 
 
 class QuadratureError(RuntimeError):
@@ -260,15 +274,39 @@ def _lag_segments_and_scale(F: Functional):
     return bounds, log_pref, integrand, tail
 
 
+def _split_at_peak(bounds, peak: float, width: float):
+    """``bounds`` with breakpoints at ``peak + k * width``, k in
+    ``_PEAK_STEPS``, added inside the one segment that holds the peak.
+
+    The split applies only when the peak lies more than ``_PEAK_CLEARANCE``
+    widths from both ends of its segment.  A peak inside the cluster of
+    polynomial zeros sits within a few widths of a zero, so those bounds are
+    returned as they are.
+    """
+    i = bisect.bisect_right(bounds, peak) - 1
+    if not 0 <= i < len(bounds) - 1:
+        # a peak that rounds onto the end of the domain holds no segment
+        return bounds
+    if min(peak - bounds[i], bounds[i + 1] - peak) <= _PEAK_CLEARANCE * width:
+        return bounds
+    return bounds[:i + 1] + [peak + k * width for k in _PEAK_STEPS] + bounds[i + 1:]
+
+
 def _geg_segments_and_scale(F: Functional):
     m, alpha, a, b, c, d, kappa = F.m, F.alpha, F.a, F.b, F.c, F.d, F.kappa
-    if c * alpha + a <= -1.0 or d * alpha + b <= -1.0:
+    A, B = c * alpha + a, d * alpha + b
+    if A <= -1.0 or B <= -1.0:
         raise ValueError("Gegenbauer weight exponents must exceed -1 for an "
                          "integrable weight")
     zeros = []
     if m >= 1:
         zeros = list(polynomial_zeros("gegenbauer", m, alpha).roots)
     bounds = [-1.0] + zeros + [1.0]
+    if A > 0.0 and B > 0.0:
+        # the weight (1 - x)^A (1 + x)^B peaks at x_w, where its log has
+        # curvature -(A / (1 - x_w)^2 + B / (1 + x_w)^2) = -1 / width^2
+        width = 2.0 * math.sqrt(A * B / (A + B) ** 3)
+        bounds = _split_at_peak(bounds, (B - A) / (A + B), width)
 
     def log_core(x, one_minus_x, one_plus_x):
         p = gegenbauer_value(m, alpha, x)
@@ -329,7 +367,8 @@ def _ext_segments_and_scale(F: Functional):
     if m >= 1:
         zeros = [z / alpha for z in polynomial_zeros("laguerre", m, alpha).roots
                  if z / alpha < u_hi]
-    bounds = [0.0] + zeros + [u_hi]
+    # the weight exp(-alpha s(u)) peaks at u0, where alpha s'' = alpha lam^2
+    bounds = _split_at_peak([0.0] + zeros + [u_hi], u0, 1.0 / (lam * math.sqrt(alpha)))
 
     def integrand(u, lo, hi, dist_lo, dist_hi):
         safe_u = np.where(u > 0.0, u, 1.0)

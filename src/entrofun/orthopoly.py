@@ -12,10 +12,12 @@ is never written.
 The m zeros of each family are the eigenvalues of the m x m symmetric
 tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
 Math. Comp. 23, 1969).  numpy's ``eigvalsh`` gives them to about machine
-precision times the matrix norm; a few Newton steps on the recurrence, each
-kept between the midpoints to the neighbouring eigenvalues, bring every
-zero to within rounding of the polynomial's own values.  The result is
-certified by a sign change of the polynomial between consecutive zeros.
+precision times the matrix norm; a few Newton steps, each kept between the
+midpoints to the neighbouring eigenvalues, bring every zero to within
+rounding of the polynomial's own values.  A step takes f / f' from the pair
+(p_m, p_(m-1)) of one recurrence, through the family's derivative identity.
+The result is certified by a sign change of the polynomial between
+consecutive zeros.
 """
 
 from __future__ import annotations
@@ -46,14 +48,20 @@ def _check_degree(m: int) -> None:
 
 def laguerre_value(m: int, alpha: float, x):
     """L_m^(alpha)(x) by the three-term recurrence."""
+    return _laguerre_pair(m, alpha, x)[0]
+
+
+def _laguerre_pair(m: int, alpha: float, x):
+    """(L_m^(alpha)(x), L_(m-1)^(alpha)(x)) from one recurrence; the second
+    is 0 at m = 0."""
     p_prev = x * 0.0 + 1.0
     if m == 0:
-        return p_prev
+        return p_prev, x * 0.0
     p = alpha + 1.0 - x
     if not isinstance(p, np.ndarray):
         for n in range(1, m):
             p, p_prev = ((2 * n + 1 + alpha - x) * p - (n + alpha) * p_prev) / (n + 1.0), p
-        return p
+        return p, p_prev
     tmp = np.empty_like(p)
     for n in range(1, m):
         np.subtract(2 * n + 1 + alpha, x, out=tmp)
@@ -62,19 +70,25 @@ def laguerre_value(m: int, alpha: float, x):
         tmp -= p_prev
         tmp /= n + 1.0
         p, p_prev, tmp = tmp, p, p_prev
-    return p
+    return p, p_prev
 
 
 def gegenbauer_value(m: int, alpha: float, x):
     """C_m^(alpha)(x) by the three-term recurrence."""
+    return _gegenbauer_pair(m, alpha, x)[0]
+
+
+def _gegenbauer_pair(m: int, alpha: float, x):
+    """(C_m^(alpha)(x), C_(m-1)^(alpha)(x)) from one recurrence; the second
+    is 0 at m = 0."""
     p_prev = x * 0.0 + 1.0
     if m == 0:
-        return p_prev
+        return p_prev, x * 0.0
     p = 2.0 * alpha * x
     if not isinstance(p, np.ndarray):
         for n in range(2, m + 1):
             p, p_prev = (2.0 * (n - 1 + alpha) * x * p - ((n - 2) + 2 * alpha) * p_prev) / n, p
-        return p
+        return p, p_prev
     tmp = np.empty_like(p)
     for n in range(2, m + 1):
         np.multiply(2.0 * (n - 1 + alpha), x, out=tmp)
@@ -83,32 +97,38 @@ def gegenbauer_value(m: int, alpha: float, x):
         tmp -= p_prev
         tmp /= n
         p, p_prev, tmp = tmp, p, p_prev
-    return p
+    return p, p_prev
 
 
 def hermite_value(m: int, x):
     """H_m(x) by the three-term recurrence."""
+    return _hermite_pair(m, x)[0]
+
+
+def _hermite_pair(m: int, x):
+    """(H_m(x), H_(m-1)(x)) from one recurrence; the second is 0 at m = 0."""
     p_prev = x * 0.0 + 1.0
     if m == 0:
-        return p_prev
+        return p_prev, x * 0.0
     p = 2.0 * x
     for n in range(1, m):
         p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
-    return p
+    return p, p_prev
 
 
 # ---------------------------------------------------------------------------
 # Real zeros
 # ---------------------------------------------------------------------------
 
-def _jacobi_roots(diag, off, f, fp) -> tuple[float, ...]:
-    """The zeros of an orthogonal polynomial ``f`` (derivative ``fp``), in
-    increasing order, from its Jacobi matrix.
+def _jacobi_roots(diag, off, f, ratio) -> tuple[float, ...]:
+    """The zeros of an orthogonal polynomial ``f``, in increasing order,
+    from its Jacobi matrix.
 
     ``diag`` and ``off`` are the diagonal and off-diagonal of the symmetric
     tridiagonal Jacobi matrix, whose eigenvalues are the zeros (Golub and
     Welsch, Math. Comp. 23, 1969).  Each eigenvalue is polished by Newton
-    steps that stay between the midpoints to its neighbouring eigenvalues.
+    steps ``ratio(x) = f(x) / f'(x)`` that stay between the midpoints to its
+    neighbouring eigenvalues.
     A root stops when its step falls to 4e-16 relative or stops shrinking:
     near large-parameter zeros the rounding noise of the recurrence keeps
     the step from ever reaching 4e-16.  The result is certified: the roots
@@ -124,7 +144,7 @@ def _jacobi_roots(diag, off, f, fp) -> tuple[float, ...]:
     for _ in range(50):     # a backstop; the certificate below judges the result
         xa = x[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = xa - f(xa) / fp(xa)
+            new = xa - ratio(xa)
         new_step = np.abs(new - xa)
         take = (lo[active] < new) & (new < hi[active]) & (new_step < step[active])
         x[active[take]] = new[take]
@@ -172,7 +192,11 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
             raise ValueError("laguerre zeros require alpha > -1")
         diag, off = _laguerre_jacobi(m, alpha)
         f = lambda x: laguerre_value(m, alpha, x)
-        fp = lambda x: -laguerre_value(m - 1, alpha + 1.0, x)
+
+        def ratio(x):
+            # x L_m' = m L_m - (m + alpha) L_(m-1)
+            p, q = _laguerre_pair(m, alpha, x)
+            return x * p / (m * p - (m + alpha) * q)
     elif family == "gegenbauer":
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
@@ -185,10 +209,14 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
         off = np.sqrt(k * ((k - 1.0) + 2.0 * alpha)
                       / (4.0 * (k + alpha) * ((k - 1.0) + alpha)))
         f = lambda x: gegenbauer_value(m, alpha, x)
-        fp = lambda x: 2.0 * alpha * gegenbauer_value(m - 1, alpha + 1.0, x)
+
+        def ratio(x):
+            # (1 - x^2) C_m' = (m + 2 alpha - 1) C_(m-1) - m x C_m
+            p, q = _gegenbauer_pair(m, alpha, x)
+            return (1.0 - x) * (1.0 + x) * p / ((m + 2.0 * alpha - 1.0) * q - m * x * p)
     else:
         raise ValueError(f"unknown polynomial family {family!r}")
-    return ZeroSet(_jacobi_roots(diag, off, f, fp), m)
+    return ZeroSet(_jacobi_roots(diag, off, f, ratio), m)
 
 
 def hermite_zeros(m: int) -> ZeroSet:
@@ -197,5 +225,10 @@ def hermite_zeros(m: int) -> ZeroSet:
     if m < 1:
         raise ValueError("hermite_zeros requires m >= 1")
     off = np.sqrt(np.arange(1, m) / 2.0)
+
+    def ratio(x):
+        # H_m' = 2 m H_(m-1)
+        p, q = _hermite_pair(m, x)
+        return p / (2.0 * m * q)
     return ZeroSet(_jacobi_roots(np.zeros(m), off, lambda x: hermite_value(m, x),
-                                 lambda x: 2.0 * m * hermite_value(m - 1, x)), m)
+                                 ratio), m)

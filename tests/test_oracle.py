@@ -71,18 +71,188 @@ def test_refinement_consistency():
 
 
 def test_segments_cover_domain_and_roots():
-    m, alpha = 4, 30.0
-    F = Functional.lag_shannon(m, alpha, 2.0, 1.0)
-    q = integrate_functional(F, 1e-10)
-    segs = q.segments
-    assert segs[0][0] == 0.0
-    for i in range(len(segs) - 1):
-        assert segs[i][1] == segs[i + 1][0]
-    boundaries = {b for seg in segs for b in seg}
-    for root in polynomial_zeros("laguerre", m, alpha).roots:
-        if root < segs[-1][1]:
-            assert any(abs(root - b) <= 1e-9 * max(1.0, root)
-                       for b in boundaries)
+    # the peak split adds bounds but never drops a zero
+    cases = [
+        (Functional.lag_shannon(4, 30.0, 2.0, 1.0), "laguerre", 0.0, 1.0),
+        (Functional.geg_renyi(3, 1e4, -0.5, 4.5, 1.0, 3.0, 2.0), "gegenbauer", -1.0, 1.0),
+        (Functional.ext_shannon(4, 1e4, 1.5, 2.0), "laguerre", 0.0, 1e4),
+    ]
+    for F, family, start, unit in cases:
+        segs = integrate_functional(F, 1e-10).segments
+        assert segs[0][0] == start
+        for i in range(len(segs) - 1):
+            assert segs[i][1] == segs[i + 1][0]
+        boundaries = {b for seg in segs for b in seg}
+        for root in polynomial_zeros(family, F.m, F.alpha).roots:
+            if root / unit < segs[-1][1]:
+                assert root / unit in boundaries
+
+
+def _zero_bounds(F):
+    """The bounds the zeros alone delimit: [-1, zeros, 1] for Gegenbauer,
+    [0, zeros / alpha] (without the window's end) for the extended family."""
+    family = "gegenbauer" if F.kind.is_gegenbauer else "laguerre"
+    zeros = polynomial_zeros(family, F.m, F.alpha).roots if F.m else ()
+    if F.kind.is_gegenbauer:
+        return [-1.0, *zeros, 1.0]
+    return [0.0, *(z / F.alpha for z in zeros)]
+
+
+def _peak_and_width(F):
+    if F.kind.is_gegenbauer:
+        A, B = F.c * F.alpha + F.a, F.d * F.alpha + F.b
+        return (B - A) / (A + B), 2.0 * math.sqrt(A * B / (A + B) ** 3)
+    return 1.0 / F.lam, 1.0 / (F.lam * math.sqrt(F.alpha))
+
+
+def _bounds(F):
+    if F.kind.is_gegenbauer:
+        return oracle._geg_segments_and_scale(F)[0]
+    return oracle._ext_segments_and_scale(F)[0]
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_renyi(2, 1000.0, -0.5, 1.0, 1.0, 3.0, 2.0),
+    Functional.geg_shannon(8, 2e4, 0.3, -0.2, 2.5, 0.9),
+    Functional.geg_renyi(0, 500.0, 0.5, 0.5, 1.0, 1.0, 1.5),
+    Functional.ext_renyi(3, 5000.0, 1.0, 2.0, 2.0),
+    Functional.ext_shannon(5, 1e4, 2.5, 0.6),
+], ids=["geg_renyi", "geg_shannon", "geg_m0", "ext_renyi", "ext_shannon"])
+def test_peak_is_a_bound_off_symmetry(F):
+    # away from c = d and lam = 1 the weight peaks O(1) from the zero
+    # cluster; its segment is split at the peak and at fixed multiples of
+    # the peak width either side
+    peak, width = _peak_and_width(F)
+    bounds = _bounds(F)
+    added = [peak + k * width for k in oracle._PEAK_STEPS]
+    assert peak in bounds
+    assert sorted(_zero_bounds(F) + added) == (bounds if F.kind.is_gegenbauer
+                                               else bounds[:-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 20])
+@pytest.mark.parametrize("alpha", [200.0, 1e4])
+def test_symmetric_inputs_keep_the_zero_bounds(m, alpha):
+    # for c = d and lam = 1 the peak lies within a few widths of a zero, so
+    # the bounds stay the zero-delimited ones; at alpha = 1e4, where the
+    # zeros crowd within O(alpha^-1/2) of their centre, the asymmetric input
+    # of the same m gains the peak's breakpoints
+    added = len(oracle._PEAK_STEPS)
+    for c, a, b in [(0.5, -0.5, 1.5), (1.0, 0.0, 0.0), (3.0, 1.5, -0.5)]:
+        F = Functional.geg_shannon(m, alpha, a, b, c, c)
+        assert _bounds(F) == _zero_bounds(F)
+        F = Functional.geg_shannon(m, alpha, a, b, c, 3.0 * c)
+        if alpha >= 1e4:
+            assert len(_bounds(F)) == len(_zero_bounds(F)) + added
+    for sigma in (0.5, 3.0):
+        F = Functional.ext_renyi(m, alpha, sigma, 1.0, 1.7)
+        assert _bounds(F)[:-1] == _zero_bounds(F)
+        F = Functional.ext_renyi(m, alpha, sigma, 2.0, 1.7)
+        if alpha >= 1e4:
+            assert len(_bounds(F)) == len(_zero_bounds(F)) + 1 + added
+
+
+def test_peak_on_the_end_of_the_domain_splits_nothing():
+    # A = 1.1e-16 against B = 3e4 rounds the weight's peak onto x = 1
+    F = Functional.geg_renyi(2, 1.0, -(1.0 - 2.0 ** -53), 0.0, 1.0, 3e4, 2.0)
+    assert _peak_and_width(F)[0] == 1.0
+    assert _bounds(F) == _zero_bounds(F)
+    assert oracle._split_at_peak([0.0, 0.5, 2.0], 2.0, 1e-3) == [0.0, 0.5, 2.0]
+
+
+def _log_floor(log_abs: float) -> float:
+    """A relative error of 8 units in the last place of log|I|: the rounding
+    of the log-space arithmetic that the oracle and the closed forms share
+    (one unit is 1.8e-12 at log|I| ~ 1e4 and 2.9e-11 at 1.5e5)."""
+    return 8.0 * math.ulp(abs(log_abs))
+
+
+@pytest.mark.parametrize("F,closed", [
+    (Functional.geg_renyi(3, 2e4, -0.5, 4.5, 1.0, 3.0, 2.0),
+     lambda: geg22_value(3, 2e4)),
+    (Functional.ext_renyi(2, 2e4, 1.0, 2.0, 2.0),
+     lambda: more15_value(2, 2e4, 2.0)),
+], ids=["geg22", "more15"])
+def test_closed_forms_at_large_alpha(F, closed):
+    ref = closed()
+    q = integrate_functional(F, 1e-12)
+    assert q.value.rel_diff(ref) <= max(1e-11, _log_floor(ref.log_abs))
+
+
+def _mp_log_value(F, mp):
+    """(sign, log|I|) of a Gegenbauer or extended-Laguerre functional by
+    mpmath's tanh-sinh at 40 digits, over 24 widths either side of the
+    weight's peak (at those ends the integrands below have fallen by more
+    than 90 orders of magnitude), split at the polynomial's zeros and at 0
+    and 8 widths from the peak."""
+    with mp.workdps(40):
+        m, al = F.m, mp.mpf(F.alpha)
+        kappa = mp.mpf(2.0 if F.kind.is_shannon else F.kappa)
+        if F.kind.is_gegenbauer:
+            A, B = F.c * al + F.a, F.d * al + F.b
+            lo, hi, family = mp.mpf(-1), mp.mpf(1), "gegenbauer"
+            peak = (B - A) / (A + B)
+            width = 1 / mp.sqrt(A / (1 - peak) ** 2 + B / (1 + peak) ** 2)
+
+            def log_weight(x):
+                return A * mp.log(1 - x) + B * mp.log(1 + x)
+
+            def poly(x):
+                p_prev, p = mp.mpf(1), 2 * al * x
+                for n in range(2, m + 1):
+                    p_prev, p = p, (2 * (n - 1 + al) * x * p - (n - 2 + 2 * al) * p_prev) / n
+                return p
+        else:
+            # x^(alpha + sigma - 1) e^(-lam x) |L_m^(alpha)(x)|^kappa over x > 0
+            s, lam = mp.mpf(F.sigma), mp.mpf(F.lam)
+            lo, hi, family = mp.mpf(0), mp.inf, "laguerre"
+            peak = (al + s - 1) / lam
+            width = mp.sqrt(al + s - 1) / lam
+
+            def log_weight(x):
+                return (al + s - 1) * mp.log(x) - lam * x
+
+            def poly(x):
+                p_prev, p = mp.mpf(1), al + 1 - x
+                for n in range(1, m):
+                    p_prev, p = p, ((2 * n + 1 + al - x) * p - (n + al) * p_prev) / (n + 1)
+                return p
+        shift = log_weight(peak)
+
+        def f(x):
+            log_p = mp.log(abs(poly(x)))
+            v = mp.exp(log_weight(x) + kappa * log_p - shift)
+            return 2 * log_p * v if F.kind.is_shannon else v
+        a, b = max(lo, peak - 24 * width), min(hi, peak + 24 * width)
+        points = sorted(p for p in {*map(mp.mpf, polynomial_zeros(family, m, F.alpha).roots),
+                                    *(peak + k * width for k in (-8, 0, 8))}
+                        if a < p < b)
+        v = mp.quad(f, [a, *points, b])
+        return (1 if v > 0 else -1), float(mp.log(abs(v)) + shift)
+
+
+# asym_mixed inputs of seeds 1-2, decks 0-1 (bench/workloads.asym_deck):
+# with its narrow peak inside one O(1) segment, none of them certifies 1e-12
+# by the finest level
+@pytest.mark.parametrize("F", [
+    Functional.geg_shannon(2, 15087.153115432378, -0.1906223074572979,
+                           -0.0031600896783623433, 3.6954830530541676,
+                           1.540457877505757),
+    Functional.ext_renyi(4, 16894.392418777377, 1.1153043249733448,
+                         2.567366052303657, 1.1920663218021237),
+    Functional.ext_renyi(5, 19079.70072383867, 2.4562214750084195,
+                         0.6116929841480516, 1.1559698444998814),
+    Functional.ext_shannon(2, 15772.63248215785, 1.2384745985796373,
+                           0.6986620013992585),
+], ids=["geg_shannon", "ext_renyi_m4", "ext_renyi_m5", "ext_shannon"])
+def test_large_alpha_peaks_certify_at_1e_12(F):
+    mp = pytest.importorskip("mpmath")
+    q = integrate_functional(F, 1e-12)
+    sign, log_abs = _mp_log_value(F, mp)
+    assert q.value.sign == sign
+    # log|I| reaches 1.8e5 here, where one unit in its last place is 2.9e-11,
+    # so 1e-11 alone is below what a LogValue resolves
+    assert abs(math.expm1(q.value.log_abs - log_abs)) <= max(1e-11, _log_floor(log_abs))
 
 
 def test_positivity_of_power_integrands():
@@ -252,19 +422,33 @@ def test_batched_refinement_matches_reference_hermite(monkeypatch, m, kappa, tol
         monkeypatch, lambda: hermite_power_integral(m, kappa, 50.0, tol)))
 
 
-@pytest.mark.parametrize("F", [
-    Functional.geg_shannon(2, 15489.82852270537, 1.378472128709452,
-                           1.0845884091541484, 1.1279678137420943,
-                           1.8830462348676853),
-    Functional.ext_shannon(3, 6008.539565318632, 1.1842641468601185,
-                           0.6032288538205103),
-])
-def test_batched_refinement_settles_on_stored_levels(monkeypatch, F):
-    # here a round's target grows after segments ran to the finest level,
-    # so a from-scratch rerun settles at a level below the finest one: the
-    # stored sums must be searched from level 4, not only the newest one
-    _assert_same_result(*_with_both_refinements(
-        monkeypatch, lambda: integrate_functional(F, 1e-12)))
+def test_batched_refinement_settles_on_stored_levels(monkeypatch):
+    # [0, 1] carries a high-frequency ripple whose level differences never
+    # fall below the first round's target, so it runs to the finest level;
+    # [1, 2] holds a spike that levels 0-3 underrate, and resolving it
+    # raises the total, so the next round's target admits a stored level
+    # below the finest one: the stored sums must be searched from level 4,
+    # not only the newest one
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        ripple = np.exp(-x) + 1e-8 * np.sin(1e7 * x)
+        spike = 1e3 * np.exp(-((x - 1.53) / 0.01) ** 2)
+        return np.where(hi <= 1.0, ripple, spike)
+    below_finest = []
+    settled = oracle._settled
+
+    def watching_settled(sums, min_level, tol):
+        r = settled(sums, min_level, tol)
+        if r is not None and len(sums) == oracle._MAX_LEVEL + 1:
+            level = next(i for i, s in enumerate(sums) if s is r[0])
+            if level < oracle._MAX_LEVEL:
+                below_finest.append(level)
+        return r
+    monkeypatch.setattr(oracle, "_settled", watching_settled)
+    bounds = [0.0, 1.0, 2.0]
+    total, err, n_evals = oracle._refine_segments(integrand, bounds, 1e-12)
+    assert below_finest
+    ref = _reference_refine_segments(integrand, bounds, 1e-12)
+    assert (total, err) == ref[:2] and n_evals < ref[2]
 
 
 def test_batched_refinement_evaluates_no_level_twice(monkeypatch):

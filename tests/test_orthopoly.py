@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrofun.orthopoly import (_check_degree, _jacobi_roots, _laguerre_zero_floor,
+from entrofun.orthopoly import (_check_degree, _gegenbauer_pair, _hermite_pair,
+                                _jacobi_roots, _laguerre_pair, _laguerre_zero_floor,
                                 gegenbauer_value, hermite_value, hermite_zeros,
                                 laguerre_value, polynomial_zeros)
 
@@ -140,6 +141,27 @@ def test_laguerre_derivative_relation():
                 d = laguerre_eval(m, alpha, x).derivative
                 ref = -laguerre_eval(m - 1, alpha + 1.0, x).value
                 assert d == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 30])
+def test_newton_derivatives_from_one_recurrence(m):
+    # the zero finder takes f' from the pair (p_m, p_(m-1)) of one
+    # recurrence; each identity must reproduce the two-recurrence derivative
+    for alpha in (0.5, 50.0, 1e3):
+        for x in (0.3, 0.7 * alpha, 1.9 * alpha):
+            p, q = _laguerre_pair(m, alpha, x)
+            assert (p, q) == (laguerre_value(m, alpha, x), laguerre_value(m - 1, alpha, x))
+            assert (m * p - (m + alpha) * q) / x == pytest.approx(
+                laguerre_eval(m, alpha, x).derivative, rel=1e-10)
+        for x in (-0.8, 0.1, 0.6):
+            p, q = _gegenbauer_pair(m, alpha, x)
+            assert (p, q) == (gegenbauer_value(m, alpha, x), gegenbauer_value(m - 1, alpha, x))
+            assert ((m + 2 * alpha - 1) * q - m * x * p) / (1 - x * x) == pytest.approx(
+                gegenbauer_eval(m, alpha, x).derivative, rel=1e-10)
+    for x in (-1.3, 0.4, 2.2):
+        p, q = _hermite_pair(m, x)
+        assert (p, q) == (hermite_value(m, x), hermite_value(m - 1, x))
+        assert 2 * m * q == hermite_eval(m, x).derivative
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +432,7 @@ def test_zeros_certificate_rejects_foreign_matrix():
     with pytest.raises(RuntimeError):
         _jacobi_roots(np.zeros(m), np.sqrt(np.arange(1, m) / 2.0),
                       lambda x: laguerre_value(m, 2.0, x),
-                      lambda x: -laguerre_value(m - 1, 3.0, x))
+                      lambda x: laguerre_value(m, 2.0, x) / -laguerre_value(m - 1, 3.0, x))
 
 
 def test_zero_degree_rejected():
