@@ -422,7 +422,22 @@ def test_batched_refinement_matches_reference_hermite(monkeypatch, m, kappa, tol
         monkeypatch, lambda: hermite_power_integral(m, kappa, 50.0, tol)))
 
 
-def test_batched_refinement_settles_on_stored_levels(monkeypatch):
+@pytest.mark.parametrize("F", [
+    Functional.geg_shannon(2, 15489.82852270537, 1.378472128709452,
+                           1.0845884091541484, 1.1279678137420943,
+                           1.8830462348676853),
+    Functional.ext_shannon(3, 6008.539565318632, 1.1842641468601185,
+                           0.6032288538205103),
+])
+def test_batched_refinement_settles_on_stored_levels(monkeypatch, F):
+    # large-alpha inputs whose round targets grow between refinement rounds;
+    # the stored-level search must give the from-scratch rerun's result
+    # (the path below the finest level is pinned by the synthetic test next)
+    _assert_same_result(*_with_both_refinements(
+        monkeypatch, lambda: integrate_functional(F, 1e-12)))
+
+
+def test_batched_refinement_settles_below_finest_level(monkeypatch):
     # [0, 1] carries a high-frequency ripple whose level differences never
     # fall below the first round's target, so it runs to the finest level;
     # [1, 2] holds a spike that levels 0-3 underrate, and resolving it
