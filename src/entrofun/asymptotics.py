@@ -1,21 +1,18 @@
 """Assembly of the large-parameter expansions for the integral families.
 
-:func:`evaluate_asymptotic` is the one entry point.  Where no expansion
-exists (Gegenbauer Shannon at c = d, extended Shannon at lambda = 1) it
-returns the oracle value with branch ``oracle_only`` and status
-``no_expansion``; otherwise it hands the functional to its family's
-evaluator, ``_laguerre``, ``_gegenbauer`` or ``_extended``, each of which
-takes both kinds of its family as ``(F, K=None)``.  ``K = None`` is the
-default (K_MAX terms truncated optimally for the Renyi kinds, K_MAX terms
-kept for the plain Laguerre and Gegenbauer Shannon kinds, K = 1 kept for the
-extended Shannon kind), and an explicit K keeps every term built: K + 1 on
-the ladders, at most two on the symmetric and Hermite-limit branches.
+:func:`evaluate_asymptotic` is the one entry point; its docstring gives the
+routing and the defaults of K.  It hands each functional to its family's
+evaluator, ``_laguerre``, ``_gegenbauer`` or ``_extended``, which takes both
+kinds of its family as ``(F, K=None)`` and never decides a status.
 
 Every result is an :class:`ExpansionResult`: a log-space prefactor,
-dimensionless correction terms, the number of terms kept and a branch tag
-recording how the input was routed (Watson ladder, interior-saddle Laplace,
-symmetric case, Hermite limit, or oracle-only fallback).  The value, the
-partial sums and the truncation error estimate derive from those.
+dimensionless terms, the number kept, a branch tag naming the route (Watson
+ladder, interior-saddle Laplace, symmetric case, Hermite limit or oracle
+fallback) and the ``tol_rel`` it is judged at.  Its value, partial sums,
+error estimate (the first dropped term, or the last kept one when none is
+dropped, over the kept sum) and status derive from those: ``ok`` means the
+estimate is at most ``tol_rel``.  Routing equalities (lambda = 1,
+kappa = 2, c = d) hold to 1e-12 relative.
 
 Shannon-type integrals are 2 d/dkappa of the power-type ones at kappa = 2.
 In every family the log-prefactor is linear in kappa with slope ell / 2, so
@@ -43,7 +40,12 @@ from .orthopoly import hermite_value
 from .series import laplace_terms
 
 K_MAX = 7
-_SYMMETRIC_REL_TOL = 1e-12
+TOL_REL = 1e-10
+
+
+def _close(u: float, v: float) -> bool:
+    """The routing equality: u and v agree to 1e-12 relative."""
+    return abs(u - v) <= 1e-12 * max(abs(u), abs(v))
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class ExpansionResult:
     terms: tuple[float, ...]
     truncation_used: int
     branch: str
-    status: str = "ok"
+    tol_rel: float = TOL_REL
     oracle_fallback: oracle.QuadResult | None = None
 
     @property
@@ -66,13 +68,24 @@ class ExpansionResult:
 
     @property
     def error_estimate(self) -> float | None:
-        """|first dropped term / kept sum|; None when every term is kept or
-        the kept sum is zero."""
-        if self.truncation_used >= len(self.terms):
+        """|first dropped term, else last kept term, / kept sum|; 0 when every
+        kept term is 0, None on a one-term result."""
+        used, kept = self.truncation_used, self.terms[:self.truncation_used]
+        if not any(kept):
+            return 0.0
+        if used == len(self.terms) == 1:
             return None
-        head = math.fsum(self.terms[:self.truncation_used])
-        nxt = self.terms[self.truncation_used]
-        return abs(nxt / head) if head != 0.0 else None
+        nxt = self.terms[used] if used < len(self.terms) else kept[-1]
+        head = math.fsum(kept)
+        return abs(nxt / head) if head != 0.0 else math.inf
+
+    @property
+    def status(self) -> str:
+        """no_expansion, else ok iff error_estimate <= tol_rel."""
+        if self.oracle_fallback is not None:
+            return "no_expansion"
+        est = self.error_estimate
+        return "ok" if est is not None and est <= self.tol_rel else "low_confidence"
 
 
 def optimal_truncation(terms) -> int:
@@ -87,15 +100,11 @@ def optimal_truncation(terms) -> int:
     return len(terms)
 
 
-def _assemble(prefactor: LogValue, terms, branch: str, status: str = "ok",
+def _assemble(prefactor: LogValue, terms, branch: str,
               force_truncation: bool = False) -> ExpansionResult:
     terms = tuple(float(t) for t in terms)
     used = len(terms) if force_truncation else optimal_truncation(terms)
-    return ExpansionResult(prefactor, terms, used, branch, status)
-
-
-def _low_confidence(F: Functional) -> bool:
-    return F.alpha < 10.0 * max(1.0, F.kappa * F.m)
+    return ExpansionResult(prefactor, terms, used, branch)
 
 
 def _depth(K: int | None, default: int = K_MAX) -> int:
@@ -111,8 +120,8 @@ def _no_expansion(F: Functional) -> bool:
     """Gegenbauer Shannon at c = d and extended Shannon at lambda = 1 have no
     large-alpha expansion; only the oracle evaluates them."""
     if F.kind is Kind.GEG_SHANNON:
-        return _is_symmetric(F.c, F.d)
-    return F.kind is Kind.EXT_LAG_SHANNON and F.lam == 1.0
+        return _close(F.c, F.d)
+    return F.kind is Kind.EXT_LAG_SHANNON and _close(F.lam, 1.0)
 
 
 def _shannon_terms(ell: float, t, dt) -> list[float]:
@@ -153,16 +162,15 @@ def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
     if shannon and F.m == 0:
         return _assemble(pref, [0.0] * (K + 1), "watson_shannon_zero",
                          force_truncation=True)
-    status = "low_confidence" if _low_confidence(F) else "ok"
     ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, F.m, F.alpha, 2 * K,
                                  dkappa=shannon)
     t = _lag_grouped_terms(ladder.values, F.alpha, K)
     if not shannon:
-        return _assemble(pref, t, "watson", status, force)
+        return _assemble(pref, t, "watson", force)
     ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
     dt = _lag_grouped_terms(ladder.dkappa, F.alpha, K)
     return _assemble(pref, _shannon_terms(ell, t, dt), "watson_shannon_fd",
-                     status, force_truncation=True)
+                     force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +190,6 @@ def _geg_prefactor_log(m: int, alpha: float, c: float, d: float,
             - kappa * log_factorial(m))
 
 
-def _is_symmetric(c: float, d: float) -> bool:
-    return abs(c - d) <= _SYMMETRIC_REL_TOL * max(c, d)
-
-
 def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
     """Gegenbauer integrals.
 
@@ -203,25 +207,24 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
                          "laplace_shannon_zero", force_truncation=True)
     # only the Renyi kind takes this branch: evaluate_asymptotic sends
     # c = d Shannon to the oracle
-    if _is_symmetric(F.c, F.d):
-        if abs(F.c - 1.0) > _SYMMETRIC_REL_TOL:
+    if _close(F.c, F.d):
+        if not _close(F.c, 1.0):
             raise ValueError("the symmetric branch supports c = d = 1 only; "
                              "general equal weights rescale the polynomial "
                              "parameter and have no expansion of this form")
-        status = "low_confidence" if _low_confidence(F) else "ok"
-        if kappa == 2.0:
+        if _close(kappa, 2.0):
             pref = LogValue.from_log(0.5 * math.log(math.pi / alpha)
                                      + m * math.log(2.0 * alpha)
                                      - log_factorial(m))
             terms = [1.0]
             if K >= 1:
                 terms.append(coeffs.geg_sym_D1(F.a, F.b, m) / alpha)
-            return _assemble(pref, terms, "symmetric_kappa2", status, force)
+            return _assemble(pref, terms, "symmetric_kappa2", force)
         q = oracle.hermite_power_integral(m, kappa, alpha)
         pref = LogValue.from_log(0.5 * kappa * m * math.log(alpha)
                                  - 0.5 * math.log(2.0)
                                  - kappa * log_factorial(m)) * q.value
-        return _assemble(pref, [1.0], "symmetric_hermite_leading", status,
+        return _assemble(pref, [1.0], "symmetric_hermite_leading",
                          force_truncation=True)
     if F.c > F.d:
         res = _gegenbauer(replace(F, a=F.b, b=F.a, c=F.d, d=F.c),
@@ -233,15 +236,12 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
                                  dkappa=shannon)
     t = [v / alpha ** k for k, v in enumerate(ladder.values)]
     if not shannon:
-        # every asymmetric Renyi result is flagged; no test yet tells how far
-        # the saddle must sit from c = d for the ladder to hold
-        return _assemble(pref, t, "laplace_cd", "low_confidence", force)
-    status = "low_confidence" if _low_confidence(F) else "ok"
+        return _assemble(pref, t, "laplace_cd", force)
     ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
            - 2.0 * log_factorial(m))
     dt = [v / alpha ** k for k, v in enumerate(ladder.dkappa)]
     return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
-                     status, force_truncation=True)
+                     force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +270,26 @@ def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
     shannon = F.kind.is_shannon
     K = _depth(K, default=1 if shannon else K_MAX)
     m, alpha, sigma, lam, kappa = F.m, F.alpha, F.sigma, F.lam, F.kappa
-    status = "low_confidence" if _low_confidence(F) else "ok"
     # only the Renyi kind takes this branch: evaluate_asymptotic sends
     # lambda = 1 Shannon to the oracle
-    if lam == 1.0:
-        if kappa == 2.0:
+    if _close(lam, 1.0):
+        if _close(kappa, 2.0):
             pref = LogValue.from_log((alpha + sigma + m) * math.log(alpha)
                                      - alpha + 0.5 * math.log(2.0 * math.pi / alpha)
                                      - log_factorial(m))
-            return _assemble(pref, [1.0], "hermite_limit_kappa2", status,
+            return _assemble(pref, [1.0], "hermite_limit_kappa2",
                              force_truncation=True)
         q = oracle.hermite_power_integral(m, kappa, alpha)
         pref = LogValue.from_log((alpha + sigma) * math.log(alpha) - alpha
                                  + 0.5 * kappa * m * math.log(0.5 * alpha)
                                  - kappa * log_factorial(m)) * q.value
-        return _assemble(pref, [1.0], "hermite_limit_power", status,
+        return _assemble(pref, [1.0], "hermite_limit_power",
                          force_truncation=True)
     pref = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, kappa))
     if not shannon:
         amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K)
         return _assemble(pref, laplace_terms(amp, alpha, K),
-                         "laplace_lambda_ne1", status, force)
+                         "laplace_lambda_ne1", force)
     if m == 0:
         return _assemble(pref, [0.0] * (K + 1), "laplace_shannon_zero",
                          force_truncation=True)
@@ -302,13 +301,13 @@ def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
               for k in range(K + 1)]
         terms = [s / alpha ** k
                  for k, s in enumerate(_shannon_terms(ell, d, dp))]
-        return _assemble(pref, terms, "laplace_shannon_analytic", status,
+        return _assemble(pref, terms, "laplace_shannon_analytic",
                          force_truncation=True)
     amp, damp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K,
                                          dkappa=True)
     t, dt = laplace_terms(amp, alpha, K), laplace_terms(damp, alpha, K)
     return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
-                     status, force_truncation=True)
+                     force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +395,13 @@ _EVALUATORS = {
 
 
 def evaluate_asymptotic(F: Functional, K: int | None = None,
-                        tol_rel: float = 1e-10) -> ExpansionResult:
+                        tol_rel: float = TOL_REL) -> ExpansionResult:
     """Evaluate any functional by its asymptotic route.
 
-    Where no expansion exists (Gegenbauer Shannon at c = d, extended Shannon
-    at lambda = 1) this returns the oracle value at ``tol_rel``, with branch
+    ``tol_rel`` must lie in the oracle's [TOL_MIN, TOL_MAX]; the result is
+    ``ok`` iff its error estimate is at most ``tol_rel``.  Where no expansion
+    exists (Gegenbauer Shannon at c = d, extended Shannon at lambda = 1)
+    this returns the oracle value at ``tol_rel``, with branch
     ``oracle_only`` and status ``no_expansion``; K is then unused.  Otherwise
     the family evaluator runs, and ``K = None`` takes its default: K_MAX
     terms truncated optimally for the Renyi kinds, K_MAX terms kept for the
@@ -410,25 +411,23 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
     requires).  An explicit K keeps every term built: K + 1 on the ladders,
     at most two on the symmetric and Hermite-limit branches.
     """
+    oracle._check_tol(tol_rel)
     if _no_expansion(F):
         q = oracle.integrate_functional(F, tol_rel)
-        return ExpansionResult(q.value, (1.0,), 1, "oracle_only",
-                               "no_expansion", q)
-    return _EVALUATORS[F.kind](F, K)
+        return ExpansionResult(q.value, (1.0,), 1, "oracle_only", tol_rel, q)
+    res = _EVALUATORS[F.kind](F, K)
+    return res if tol_rel == TOL_REL else replace(res, tol_rel=tol_rel)
 
 
 def closed_form_value(F: Functional) -> LogValue:
     """Exact closed-form value, where one is known for the parameter choice."""
     from . import closedforms as cf
 
-    def close(u, v):
-        return u is not None and abs(u - v) <= 1e-12 * max(1.0, abs(v))
-
     m, alpha = F.m, F.alpha
     if F.kind is Kind.LAG_RENYI:
         if m == 0:
             return LogValue.from_log(log_gamma(F.mu) - F.mu * math.log(F.lam))
-        if close(F.kappa, 2.0) and close(F.lam, 1.0):
+        if _close(F.kappa, 2.0) and _close(F.lam, 1.0):
             return cf.lag24_value(m, alpha, F.mu)
     elif F.kind is Kind.GEG_RENYI:
         if m == 0:
@@ -437,19 +436,19 @@ def closed_form_value(F: Functional) -> LogValue:
                 + log_gamma(F.d * alpha + F.b + 1.0) \
                 - log_gamma((F.c + F.d) * alpha + F.a + F.b + 2.0)
             return LogValue.from_log(log_val)
-        if (close(F.kappa, 2.0) and close(F.a, -0.5)
-                and close(F.b, 2 * m - 1.5) and close(F.c, 1.0)
-                and close(F.d, 3.0)):
+        if (_close(F.kappa, 2.0) and _close(F.a, -0.5)
+                and _close(F.b, 2 * m - 1.5) and _close(F.c, 1.0)
+                and _close(F.d, 3.0)):
             return cf.geg22_value(m, alpha)
-        if (close(F.kappa, 2.0) and close(F.a, -0.5) and close(F.b, -1.5)
-                and close(F.c, 1.0) and close(F.d, 1.0)):
+        if (_close(F.kappa, 2.0) and _close(F.a, -0.5) and _close(F.b, -1.5)
+                and _close(F.c, 1.0) and _close(F.d, 1.0)):
             return cf.geg31_value(m, alpha)
     elif F.kind is Kind.EXT_LAG_RENYI:
         if m == 0:
             return LogValue.from_log(log_gamma(alpha + F.sigma)
                                      - (alpha + F.sigma) * math.log(F.lam))
-        if close(F.kappa, 2.0) and close(F.sigma, 1.0):
-            if close(F.lam, 1.0):
+        if _close(F.kappa, 2.0) and _close(F.sigma, 1.0):
+            if _close(F.lam, 1.0):
                 return cf.more24_value(m, alpha)
             return cf.more15_value(m, alpha, F.lam)
     elif F.kind.is_shannon and m == 0:

@@ -16,7 +16,8 @@ from entrofun.closedforms import (geg31_value, lag24_value, log_gamma,
 from entrofun.coeffs import ext_lag_D, lag_D
 from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
-from entrofun.oracle import integrate_functional
+from entrofun.oracle import (TOL_MAX, TOL_MIN, QuadratureError,
+                             integrate_functional)
 from entrofun.orthopoly import gegenbauer_value, laguerre_value
 from entrofun.series import laplace_terms
 
@@ -377,10 +378,18 @@ def test_shannon_fd_route_builds_once(monkeypatch, target, F, evaluate):
 # ---------------------------------------------------------------------------
 
 def test_low_confidence_flag():
-    F = Functional.lag_renyi(3, 15.0, 2.0, 1.0, 2.0)  # alpha < 10 kappa m
-    assert evaluate_asymptotic(F).status == "low_confidence"
-    F = Functional.lag_renyi(3, 100.0, 2.0, 1.0, 2.0)
-    assert evaluate_asymptotic(F).status == "ok"
+    # ok iff the error estimate is at most tol_rel: one result read at three
+    # tolerances
+    F = Functional.lag_shannon(3, 400.0, 2.5, 1.5)
+    res = evaluate_asymptotic(F, 3)
+    assert 1e-10 < res.error_estimate < 1e-6
+    assert res.status == "low_confidence"
+    assert evaluate_asymptotic(F, 3, tol_rel=1e-6).status == "ok"
+    assert evaluate_asymptotic(F, 3, tol_rel=res.error_estimate).status == "ok"
+    # a one-term result has no estimate, so no tolerance makes it ok
+    F = Functional.ext_renyi(1, 400.0, 1.0, 1.0, 2.0)
+    res = evaluate_asymptotic(F, tol_rel=TOL_MAX)
+    assert res.error_estimate is None and res.status == "low_confidence"
 
 
 def test_near_symmetric_flag():
@@ -434,19 +443,95 @@ def _bench_workloads():
 
 
 def test_error_estimate_is_first_dropped_term_over_kept_sum():
-    # the rule the CLI applied before the result derived it, on asym deck 0
-    # of seed 1 of the benchmark (all six kinds, every branch)
-    seen = 0
+    # on asym deck 0 of seed 1 of the benchmark (all six kinds, every
+    # branch): the first dropped term over the kept sum, else the last kept
+    # term over it; 0 when every kept term is 0, None on a one-term result
+    seen = dict.fromkeys(("dropped", "last_kept", "zero", "one_term"), 0)
     for _, F in _bench_workloads().asym_deck(1, 0):
         res = evaluate_asymptotic(F)
-        want = None
-        if res.truncation_used < len(res.terms):
-            head = math.fsum(res.terms[: res.truncation_used])
-            nxt = res.terms[res.truncation_used]
-            want = abs(nxt / head) if head != 0.0 else None
+        used, terms = res.truncation_used, res.terms
+        kept = terms[:used]
+        if not any(kept):
+            case, want = "zero", 0.0
+        elif used < len(terms):
+            case, want = "dropped", abs(terms[used] / math.fsum(kept))
+        elif used >= 2:
+            case, want = "last_kept", abs(kept[-1] / math.fsum(kept))
+        else:
+            case, want = "one_term", None
         assert res.error_estimate == want, F
-        seen += want is not None
-    assert seen > 0
+        seen[case] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("F", [
+    Functional.lag_renyi(2, 400.0, 2.5, 1.0, 2.0),
+    Functional.gegenbauer_weight_shannon(2, 80.0),  # the oracle fallback
+], ids=["watson", "oracle_only"])
+@pytest.mark.parametrize("tol", [1e-3, TOL_MIN / 2, math.nan])
+def test_evaluate_asymptotic_validates_tol(F, tol):
+    with pytest.raises(ValueError, match="tol_rel must lie in"):
+        evaluate_asymptotic(F, tol_rel=tol)
+
+
+@pytest.mark.parametrize("F", [
+    *_bench_workloads().ROADMAP_ITEM4,
+    # a K_MAX Watson ladder 4.3e-2 and 5.2e-3 off the oracle
+    Functional.lag_renyi(8, 314.27, 3.588, 0.741, 3.739),
+    Functional.lag_renyi(5, 288.45, 1.577, 0.474, 3.520),
+], ids=["ext_renyi_lam1.1", "ext_shannon_lam_near1", "geg_shannon_cd_near1",
+        "watson_m8_a314", "watson_m5_a288"])
+def test_pinned_low_confidence(F):
+    # results far off their reference; tests/test_routing.py pins the
+    # one-term results (no estimate) as low_confidence too
+    assert evaluate_asymptotic(F).status == "low_confidence"
+
+
+def _often(draw, special, general):
+    """``special`` one draw in four, else a draw from ``general``."""
+    return special if draw(st.integers(0, 3)) == 0 else draw(general)
+
+
+@st.composite
+def _functionals(draw):
+    """Any kind, m <= 8, alpha in [50, 1e4]; kappa = 2, lam = 1 and
+    c = d = 1 come up often enough to reach every branch."""
+    m = draw(st.integers(0, 8))
+    alpha = math.exp(draw(st.floats(math.log(50.0), math.log(1.0e4))))
+    kappa = _often(draw, 2.0, st.floats(0.5, 4.0))
+    lam = _often(draw, 1.0, st.floats(0.3, 3.0))
+    c, d = _often(draw, (1.0, 1.0),
+                  st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)))
+    a, b = draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))
+    mu, sigma = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 3.0))
+    return draw(st.sampled_from((
+        Functional.lag_renyi(m, alpha, mu, lam, kappa),
+        Functional.lag_shannon(m, alpha, mu, lam),
+        Functional.geg_renyi(m, alpha, a, b, c, d, kappa),
+        Functional.geg_shannon(m, alpha, a, b, c, d),
+        Functional.ext_renyi(m, alpha, sigma, lam, kappa),
+        Functional.ext_shannon(m, alpha, sigma, lam))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(F=_functionals(), tol=st.sampled_from((1e-6, 1e-8, 1e-10)))
+def test_ok_agrees_with_reference(F, tol):
+    # the status contract: an ok result is within 10 tol_rel of the closed
+    # form or the 1e-12 oracle
+    try:
+        res = evaluate_asymptotic(F, tol_rel=tol)
+    except ValueError:  # no expansion applies (lam near 1, or c = d != 1)
+        return
+    if res.status != "ok":
+        return
+    try:
+        ref = closed_form_value(F)
+    except ValueError:
+        try:
+            ref = integrate_functional(F, 1e-12).value
+        except QuadratureError:
+            return
+    assert res.value.rel_diff(ref) <= 10 * tol
 
 
 def test_geg_order_of_accuracy():
