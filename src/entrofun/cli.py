@@ -165,11 +165,9 @@ def cmd_eval(args) -> int:
     doc = _eval_document(F, args.method, K, args.tol)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif args.format == "pretty":
+    else:
         for key, val in doc.items():
             print(f"{key}: {val}")
-    else:
-        raise CliError("eval supports --format json or pretty")
     return 0
 
 
@@ -198,14 +196,12 @@ def cmd_compare(args) -> int:
         sys.stdout.write(out.getvalue())
     elif args.format == "json":
         print(json.dumps(rows, indent=2))
-    elif args.format == "pretty":
+    else:
         print(f"{'K':>3} {'sign':>5} {'log_abs':>24} {'rel_dev':>13} opt")
         for r in rows:
             mark = "*" if r["optimal"] else ""
             print(f"{r['K']:>3} {r['sign']:>5} {r['log_abs']:>24.16g} "
                   f"{r['rel_dev_vs_oracle']:>13.4e} {mark}")
-    else:
-        raise CliError("compare supports --format csv, json or pretty")
     return 0
 
 
@@ -291,10 +287,8 @@ def cmd_sweep(args) -> int:
     elif args.format == "pretty":
         for rec in [header, *records]:
             print("  ".join(f"{c:>22}" for c in rec))
-    elif args.format == "json":
-        print(json.dumps([dict(zip(header, rec)) for rec in records], indent=2))
     else:
-        raise CliError("sweep supports --format csv, json or pretty")
+        print(json.dumps([dict(zip(header, rec)) for rec in records], indent=2))
     return 1 if failed else 0
 
 
@@ -365,12 +359,10 @@ def cmd_coeffs(args) -> int:
     doc.update(meta)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif args.format == "pretty":
+    else:
         print(f"ladder {args.ladder} ({provenance})")
         for k, v in enumerate(doc["values"]):
             print(f"  [{k}] {v!r}")
-    else:
-        raise CliError("coeffs supports --format json or pretty")
     return 0
 
 
@@ -383,9 +375,9 @@ def _add_functional_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
 
 
-def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
-    p.add_argument("--format", default=fmt_default,
-                   choices=("json", "csv", "pretty"))
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """--format (its first choice the default), --tol and --order."""
+    p.add_argument("--format", default=formats[0], choices=formats)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--order", default="auto", help="truncation K or 'auto'")
 
@@ -400,19 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate one functional")
     _add_functional_args(p)
-    _add_common(p, "json")
+    _add_common(p, ("json", "pretty"))
     p.add_argument("--method", default="asym",
                    choices=("asym", "oracle", "closed"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="partial sums vs the oracle")
     _add_functional_args(p)
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json", "pretty"))
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="evaluate over an alpha grid")
     _add_functional_args(p)
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json", "pretty"))
     p.add_argument("--alpha-start", type=float, required=True)
     p.add_argument("--alpha-stop", type=float, required=True)
     p.add_argument("--count", type=int, required=True)

@@ -5,15 +5,22 @@ Each integral is split into segments delimited by the zeros of the
 polynomial (where |p|^kappa has integrable kinks and p^2 log p^2 has
 removable singularities) and integrated per segment with a tanh-sinh
 (double-exponential) rule under progressive step halving (Takahasi and
-Mori, Publ. RIMS 9, 1974).  At large alpha the Gegenbauer and extended
-Laguerre weights concentrate within O(alpha^-1/2) of their peak, the point
-the saddle-point expansions expand about.  When the peak lies more than 6
-peak widths from both ends of its segment, as it does at large alpha for
-c != d and lam != 1, that one segment is split at the peak and at 3 widths
-either side, so no narrow peak sits inside an O(1) segment.  For c = d and
-lam = 1 the peak lies among the zeros, whose segments are already
-O(alpha^-1/2) wide, and the bounds stay as the zeros delimit them.  Each
-segment stores the running sum of every level it has evaluated, so
+Mori, Publ. RIMS 9, 1974).  Two builders give the segments, scale and
+integrand: one for the Gegenbauer weight, and one for the Laguerre weight
+x^(mu-1) e^(-lam x), which serves the extended kinds at mu = alpha + sigma.
+At large alpha the Gegenbauer and extended Laguerre weights are narrow about
+their peak, the point the saddle-point expansions expand about; the
+Laguerre weight peaks at x_p = (mu-1)/lam with width sqrt(mu-1)/lam.  When
+the peak lies more than 6 widths from both ends of its segment, as it does
+at large alpha for c != d and for extended inputs with lam != 1, that one
+segment is split at the peak and at 3 widths either side, so no narrow peak
+sits inside a wide segment.  For c = d and lam = 1 the peak lies among the
+zeros, whose segments are already that narrow, and the bounds stay as the
+zeros delimit them.  From mu = 2 on the Laguerre weight is taken relative
+to its peak, so the O(mu log mu) peak constant is folded into the scale
+once instead of rounded at every node.
+
+Each segment stores the running sum of every level it has evaluated, so
 refinement never evaluates a level twice, and the missing levels of all
 unsettled segments are evaluated together, in batched calls of the
 integrand: the first pass asks for levels 0 to 3 of every segment at once,
@@ -21,7 +28,9 @@ since none can settle before its level 3 exists.
 
 All floating-point work happens after dividing the integrand by a log-space
 scale close to its peak, so magnitudes stay near unity even where the true
-values overflow doubles.
+values overflow doubles.  The Laguerre scale takes the polynomial's size at
+x_p as the larger of (alpha |1 - x_p/alpha|)^m / m! and (alpha/2)^(m/2) / m!,
+so it stays finite where x_p meets alpha (lam -> 1 for the extended kinds).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import Functional, Kind
+from .functional import Functional
 from .logvalue import LogValue
 from .orthopoly import (_laguerre_zero_floor, gegenbauer_value, hermite_value,
                         hermite_zeros, laguerre_value, polynomial_zeros)
@@ -59,6 +68,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
+    """The integral, log of its absolute error bound, the integrand
+    evaluations spent, and the segments integrated, in the integration
+    variable: x for every family (the Hermite integral's t = y sqrt(alpha/2))."""
+
     value: LogValue
     abs_err_log: float
     n_evals: int
@@ -232,17 +245,27 @@ def _laguerre_coeff_bound_log(m: int, alpha: float) -> float:
 
 
 def _lag_segments_and_scale(F: Functional):
-    """Plain Laguerre families (weight x^(mu-1) e^(-lam x)).
+    """Laguerre families: weight x^(mu-1) e^(-lam x), with mu = alpha + sigma
+    for the extended kinds.
 
-    Like the other ``_*_segments_and_scale`` builders it returns the segment
-    bounds, the log scale, the scaled integrand
-    ``integrand(x, lo, hi, dist_lo, dist_hi)`` (per-node arrays: the nodes,
-    the bounds of each node's segment and the node's exact distances to
-    them), and the absolute tail truncated off the last segment, in units
-    of the scale."""
-    m, alpha, mu, lam, kappa = F.m, F.alpha, F.mu, F.lam, F.kappa
-    log_pref = (kappa * m * math.log(alpha) + math.lgamma(mu)
-                - mu * math.log(lam) - kappa * math.lgamma(m + 1.0))
+    Like ``_geg_segments_and_scale`` it returns the segment bounds, the log
+    scale, the scaled integrand ``integrand(x, lo, hi, dist_lo, dist_hi)``
+    (per-node arrays: the nodes, the bounds of each node's segment and the
+    node's exact distances to them), and the absolute tail truncated off
+    the last segment, in units of the scale."""
+    m, alpha, lam, kappa = F.m, F.alpha, F.lam, F.kappa
+    mu = alpha + F.sigma if F.mu is None else F.mu
+    # the polynomial's size at the weight's peak x_p is ~ (alpha |1 - x_p /
+    # alpha|)^m / m! away from x_p = alpha and ~ (alpha / 2)^(m/2) / m! at
+    # it: the larger of the two keeps the scale finite as the peak meets
+    # alpha (lam -> 1 for the extended kinds)
+    x_p = (mu - 1.0) / lam
+    poly_scale = 0.5 * m * math.log(alpha / 2.0)
+    gap = abs(1.0 - x_p / alpha)
+    if gap > 0.0:
+        poly_scale = max(poly_scale, m * math.log(alpha * gap))
+    log_pref = (math.lgamma(mu) - mu * math.log(lam)
+                + kappa * (poly_scale - math.lgamma(m + 1.0)))
     b_log = _laguerre_coeff_bound_log(m, alpha)
     s_exp = mu + kappa * m
     x_hi = max(2.0 * (s_exp + 4.0) / lam, 10.0 / lam)
@@ -264,11 +287,27 @@ def _lag_segments_and_scale(F: Functional):
                  if z < x_hi]
     bounds = [0.0] + zeros + [x_hi]
 
+    if mu >= 2.0:
+        # the weight relative to its peak, (mu - 1) log1p(delta / x_p)
+        # - lam delta with delta = x - x_p, so no per-node sum carries the
+        # O(mu log mu) peak constant; a node where delta rounds to -x_p
+        # holds at most eps^(mu - 1) of the peak weight
+        bounds = _split_at_peak(bounds, x_p, math.sqrt(mu - 1.0) / lam)
+        shift = (mu - 1.0) * math.log(x_p) - lam * x_p - log_pref
+
+        def log_weight(x):
+            delta = x - x_p
+            with np.errstate(divide="ignore"):
+                return (mu - 1.0) * np.log1p(delta / x_p) - lam * delta + shift
+    else:
+        def log_weight(x):
+            return (mu - 1.0) * np.log(x) - lam * x - log_pref
+
     def integrand(x, lo, hi, dist_lo, dist_hi):
         p = laguerre_value(m, alpha, x)
         logp = _log_abs_poly(p)
-        core = (mu - 1.0) * np.log(x) - lam * x + kappa * logp - log_pref
-        return _integrand_values(core, logp, F.kind.is_shannon)
+        return _integrand_values(log_weight(x) + kappa * logp, logp,
+                                 F.kind.is_shannon)
 
     tail = math.exp(min(tail_log(x_hi) - log_pref, 0.0))
     return bounds, log_pref, integrand, tail
@@ -330,61 +369,6 @@ def _geg_segments_and_scale(F: Functional):
     return bounds, log_pref, integrand, 0.0
 
 
-def _ext_segments_and_scale(F: Functional):
-    """Extended family in the substituted variable u = x / alpha."""
-    m, alpha, sigma, lam, kappa = F.m, F.alpha, F.sigma, F.lam, F.kappa
-    u0 = 1.0 / lam
-    b_log = _laguerre_coeff_bound_log(m, alpha)
-    log_front = (alpha + sigma) * math.log(alpha) - alpha * (1.0 + math.log(lam))
-
-    def s_phase(u):
-        delta = u - u0
-        return lam * delta - np.log1p(lam * delta)
-
-    # the polynomial's size at the peak u0: ~ (alpha |1 - u0|)^m / m! away
-    # from lam = 1, ~ (alpha / 2)^(m/2) / m! at lam = 1; the larger of the
-    # two keeps the scale finite as lam -> 1
-    gap = abs(1.0 - u0)
-    poly_scale = kappa * (0.5 * m * math.log(alpha / 2.0)
-                          - math.lgamma(m + 1.0))
-    if gap > 0.0:
-        poly_scale = max(poly_scale,
-                         kappa * (m * math.log(alpha) + m * math.log(gap)
-                                  - math.lgamma(m + 1.0)))
-    log_pref = log_front + (sigma - 1.0) * math.log(u0) + poly_scale
-
-    def bound_log(u):
-        return (log_front - alpha * float(s_phase(np.array([u]))[0])
-                + (sigma - 1.0) * math.log(u)
-                + kappa * (b_log + m * math.log(max(alpha * u, 1.0)))
-                - log_pref)
-
-    u_hi = 2.0 * (u0 + 1.0)
-    log_target = math.log(TOL_MIN) - 8.0
-    while bound_log(u_hi) > log_target:
-        u_hi *= 1.3
-    zeros = []
-    if m >= 1:
-        zeros = [z / alpha for z in polynomial_zeros("laguerre", m, alpha).roots
-                 if z / alpha < u_hi]
-    # the weight exp(-alpha s(u)) peaks at u0, where alpha s'' = alpha lam^2
-    bounds = _split_at_peak([0.0] + zeros + [u_hi], u0, 1.0 / (lam * math.sqrt(alpha)))
-
-    def integrand(u, lo, hi, dist_lo, dist_hi):
-        safe_u = np.where(u > 0.0, u, 1.0)
-        p = laguerre_value(m, alpha, alpha * safe_u)
-        logp = _log_abs_poly(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = (log_front - alpha * s_phase(safe_u)
-                    + (sigma - 1.0) * np.log(safe_u) + kappa * logp - log_pref)
-        core = np.where(u > 0.0, core, -np.inf)
-        core = np.where(np.isnan(core), -np.inf, core)
-        return _integrand_values(core, logp, F.kind.is_shannon)
-
-    tail = math.exp(min(bound_log(u_hi), 0.0))
-    return bounds, log_pref, integrand, tail
-
-
 def _quadrature(bounds, log_pref: float, integrand, tail: float,
                 tol_rel: float, signed: bool, may_vanish: bool) -> QuadResult:
     """Integrate the scaled integrand over every segment, certify the
@@ -428,12 +412,7 @@ def _check_tol(tol_rel: float) -> None:
 def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
     """Evaluate the integral described by ``F`` to relative tolerance."""
     _check_tol(tol_rel)
-    if F.kind.is_gegenbauer:
-        build = _geg_segments_and_scale
-    elif F.kind in (Kind.LAG_RENYI, Kind.LAG_SHANNON):
-        build = _lag_segments_and_scale
-    else:
-        build = _ext_segments_and_scale
+    build = _geg_segments_and_scale if F.kind.is_gegenbauer else _lag_segments_and_scale
     return _quadrature(*build(F), tol_rel, signed=F.kind.is_shannon,
                        may_vanish=F.kind.is_shannon and F.m == 0)
 

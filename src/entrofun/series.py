@@ -28,7 +28,6 @@ class Series:
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ValueError("a Series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:

@@ -260,6 +260,16 @@ def test_eval_pretty_format(capsys):
     assert out.startswith("functional: lag_shannon")
 
 
+def test_eval_rejects_csv_format(capsys):
+    # eval prints one document, so argparse offers it json and pretty only
+    code, out, err = run_cli(capsys, "eval", "--kind", "i2", "--m", "1",
+                             "--alpha", "200", "--mu", "2", "--lambda", "1",
+                             "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
 def test_sweep_symmetric_ratio_tracks_first_correction(capsys):
     # asym/closed ratio on the symmetric special case behaves like
     # 1 + (2m^2 - 2m + 3)/(8 alpha)

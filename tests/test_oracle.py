@@ -73,42 +73,44 @@ def test_refinement_consistency():
 def test_segments_cover_domain_and_roots():
     # the peak split adds bounds but never drops a zero
     cases = [
-        (Functional.lag_shannon(4, 30.0, 2.0, 1.0), "laguerre", 0.0, 1.0),
-        (Functional.geg_renyi(3, 1e4, -0.5, 4.5, 1.0, 3.0, 2.0), "gegenbauer", -1.0, 1.0),
-        (Functional.ext_shannon(4, 1e4, 1.5, 2.0), "laguerre", 0.0, 1e4),
+        (Functional.lag_shannon(4, 30.0, 2.0, 1.0), "laguerre", 0.0),
+        (Functional.geg_renyi(3, 1e4, -0.5, 4.5, 1.0, 3.0, 2.0), "gegenbauer", -1.0),
+        (Functional.ext_shannon(4, 1e4, 1.5, 2.0), "laguerre", 0.0),
     ]
-    for F, family, start, unit in cases:
+    for F, family, start in cases:
         segs = integrate_functional(F, 1e-10).segments
         assert segs[0][0] == start
         for i in range(len(segs) - 1):
             assert segs[i][1] == segs[i + 1][0]
         boundaries = {b for seg in segs for b in seg}
         for root in polynomial_zeros(family, F.m, F.alpha).roots:
-            if root / unit < segs[-1][1]:
-                assert root / unit in boundaries
+            if root < segs[-1][1]:
+                assert root in boundaries
 
 
 def _zero_bounds(F):
     """The bounds the zeros alone delimit: [-1, zeros, 1] for Gegenbauer,
-    [0, zeros / alpha] (without the window's end) for the extended family."""
+    [0, zeros inside the window] (without the window's end) for Laguerre."""
     family = "gegenbauer" if F.kind.is_gegenbauer else "laguerre"
     zeros = polynomial_zeros(family, F.m, F.alpha).roots if F.m else ()
     if F.kind.is_gegenbauer:
         return [-1.0, *zeros, 1.0]
-    return [0.0, *(z / F.alpha for z in zeros)]
+    x_hi = _bounds(F)[-1]
+    return [0.0, *(z for z in zeros if z < x_hi)]
 
 
 def _peak_and_width(F):
     if F.kind.is_gegenbauer:
         A, B = F.c * F.alpha + F.a, F.d * F.alpha + F.b
         return (B - A) / (A + B), 2.0 * math.sqrt(A * B / (A + B) ** 3)
-    return 1.0 / F.lam, 1.0 / (F.lam * math.sqrt(F.alpha))
+    mu = F.alpha + F.sigma if F.mu is None else F.mu
+    return (mu - 1.0) / F.lam, math.sqrt(mu - 1.0) / F.lam
 
 
 def _bounds(F):
     if F.kind.is_gegenbauer:
         return oracle._geg_segments_and_scale(F)[0]
-    return oracle._ext_segments_and_scale(F)[0]
+    return oracle._lag_segments_and_scale(F)[0]
 
 
 @pytest.mark.parametrize("F", [
@@ -117,11 +119,13 @@ def _bounds(F):
     Functional.geg_renyi(0, 500.0, 0.5, 0.5, 1.0, 1.0, 1.5),
     Functional.ext_renyi(3, 5000.0, 1.0, 2.0, 2.0),
     Functional.ext_shannon(5, 1e4, 2.5, 0.6),
-], ids=["geg_renyi", "geg_shannon", "geg_m0", "ext_renyi", "ext_shannon"])
+    Functional.lag_renyi(8, 2e4, 2e4 + 0.5, 2.0, 2.0),
+], ids=["geg_renyi", "geg_shannon", "geg_m0", "ext_renyi", "ext_shannon",
+        "lag_renyi_large_mu"])
 def test_peak_is_a_bound_off_symmetry(F):
-    # away from c = d and lam = 1 the weight peaks O(1) from the zero
-    # cluster; its segment is split at the peak and at fixed multiples of
-    # the peak width either side
+    # away from c = d and lam = 1 the weight peaks O(1) (in units of alpha)
+    # from the zero cluster; its segment is split at the peak and at fixed
+    # multiples of the peak width either side
     peak, width = _peak_and_width(F)
     bounds = _bounds(F)
     added = [peak + k * width for k in oracle._PEAK_STEPS]
@@ -220,7 +224,12 @@ def _mp_log_value(F, mp):
         shift = log_weight(peak)
 
         def f(x):
-            log_p = mp.log(abs(poly(x)))
+            p = poly(x)
+            if p == 0:
+                # both integrands' limit at a zero; a breakpoint can be one
+                # exactly (L_1's zero alpha + 1 often is a double)
+                return mp.mpf(0)
+            log_p = mp.log(abs(p))
             v = mp.exp(log_weight(x) + kappa * log_p - shift)
             return 2 * log_p * v if F.kind.is_shannon else v
         a, b = max(lo, peak - 24 * width), min(hi, peak + 24 * width)
@@ -297,6 +306,27 @@ def test_ext_lambda_near_one_matches_lambda_one():
                                  1e-10)
         assert math.isfinite(q.value.log_abs)
         assert q.value.rel_diff(ref.value) <= 1e-9
+
+
+@pytest.mark.parametrize("m,alpha,sigma,lam", [
+    (3, 300.0, 1.5, 2.0),
+    (8, 400.0, 1.0, 1.0),
+    (4, 16894.392418777377, 1.1153043249733448, 2.567366052303657),
+    (2, 1e4, 0.5, 0.7),
+    (0, 50.0, 2.5, 1.3),
+])
+def test_extended_kinds_are_the_laguerre_integral_at_mu_alpha_plus_sigma(
+        m, alpha, sigma, lam):
+    # x^(alpha + sigma - 1) e^(-lam x) is the Laguerre weight at
+    # mu = alpha + sigma, and the oracle integrates both the same way
+    def result(F):
+        q = integrate_functional(F, 1e-12)
+        return q.value.sign, q.value.log_abs, q.abs_err_log, q.n_evals, q.segments
+    mu = alpha + sigma
+    assert (result(Functional.ext_renyi(m, alpha, sigma, lam, 1.7))
+            == result(Functional.lag_renyi(m, alpha, mu, lam, 1.7)))
+    assert (result(Functional.ext_shannon(m, alpha, sigma, lam))
+            == result(Functional.lag_shannon(m, alpha, mu, lam)))
 
 
 @pytest.mark.parametrize("fill", [math.inf, math.nan])
