@@ -77,6 +77,15 @@ class CliError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise CliError, so that they reach
+    stderr as JSON like every other parameter error (exit code 2).  Its
+    subparsers share the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -383,7 +392,7 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="entrofun",
         description="Evaluate entropic integral functionals of Laguerre and "
                     "Gegenbauer polynomials by asymptotic expansion, "
@@ -429,22 +438,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(doc: dict) -> int:
+    json.dump(doc, sys.stderr)
+    sys.stderr.write("\n")
+    return 2
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except CliError as exc:
+        return _error({"error": str(exc)})
     try:
         return args.func(args)
     except CliError as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error({"error": str(exc)})
     except (ValueError, QuadratureError) as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error({"error": str(exc), "type": type(exc).__name__})
 
 
 if __name__ == "__main__":

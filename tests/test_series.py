@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrofun.series import (Series, laplace_terms, saddle_series, series_log,
-                             series_pow, series_revert)
-from series_reference import laplace_sum, series_compose, series_exp
+from entrofun import coeffs as cf
+from entrofun.series import Series, laplace_terms, series_log, series_pow
+from series_reference import (identity, laplace_sum, saddle_series,
+                              series_compose, series_div, series_exp,
+                              series_revert)
 
 
 def coeffs_close(s: Series, expect, tol=1e-12):
@@ -28,13 +30,13 @@ def test_mul_example():
 def test_geometric_series():
     one = Series.constant(1.0, 3)
     den = Series((1.0, -1.0, 0.0, 0.0))
-    coeffs_close(one / den, [1.0, 1.0, 1.0, 1.0])
+    coeffs_close(series_div(one, den), [1.0, 1.0, 1.0, 1.0])
 
 
 def test_long_division():
     num = Series((1.0, 2.0, 1.0))
     den = Series((1.0, 1.0, 0.0))
-    coeffs_close(num / den, [1.0, 1.0, 0.0])
+    coeffs_close(series_div(num, den), [1.0, 1.0, 0.0])
 
 
 def test_arith_dispatch():
@@ -47,7 +49,7 @@ def test_arith_dispatch():
 
 def test_division_by_zero_constant_rejected():
     with pytest.raises(ValueError):
-        Series((1.0, 0.0)) / Series((0.0, 1.0))
+        series_div(Series((1.0, 0.0)), Series((0.0, 1.0)))
 
 
 def test_min_order_truncation():
@@ -80,9 +82,9 @@ def test_compose_rejects_nonzero_constant():
 
 def test_log_of_exp_composition_is_identity():
     n = 4
-    y = Series.identity(n)
+    y = identity(n)
     em1 = series_exp(y) - Series.constant(1.0, n)
-    logf = series_log(Series.constant(1.0, n) + Series.identity(n))
+    logf = series_log(Series.constant(1.0, n) + identity(n))
     coeffs_close(series_compose(logf, em1), [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
@@ -109,7 +111,7 @@ def test_transcend_rejects_nonpositive_constant():
 # ---------------------------------------------------------------------------
 
 def test_revert_identity():
-    coeffs_close(series_revert(Series.identity(4)), [0.0, 1.0, 0.0, 0.0, 0.0])
+    coeffs_close(series_revert(identity(4)), [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_revert_quadratic():
@@ -188,7 +190,8 @@ def test_pow_additivity(a0, tail, r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# quadratic phase normalisation
+# saddle maps: coeffs builds x(y) from its ODE; Lagrange reversion of the
+# phase expansion is the low-order cross-check
 # ---------------------------------------------------------------------------
 
 def _geg_phase(c, d, order):
@@ -204,6 +207,17 @@ def _ext_phase(lam, order):
         [0.0, 0.0] + [(-1.0) ** k * lam ** k / k for k in range(2, order + 1)])
 
 
+def _mp_saddle_ode(mp, phase, param):
+    """(q, (r0, r1, r2)) of the saddle ODE q s s' = y (r0 + r1 s + r2 s^2),
+    from the exact parameters."""
+    if phase is _geg_phase:
+        c, d = (mp.mpf(v) for v in param)
+        x_m = (d - c) / (d + c)
+        return c + d, (1 - x_m ** 2, -2 * x_m, mp.mpf(-1))
+    lam = mp.mpf(param[0])
+    return lam, (1 / lam, mp.mpf(1), mp.mpf(0))
+
+
 @pytest.mark.parametrize("order", [14, 30])
 @pytest.mark.parametrize("phase, param", [
     (_geg_phase, (1.0, 3.0)), (_geg_phase, (0.37, 5.2)),
@@ -212,47 +226,46 @@ def _ext_phase(lam, order):
     (_ext_phase, (1.3,)), (_ext_phase, (3.5,)),
 ])
 def test_saddle_series_matches_mpmath_lagrange(phase, param, order):
-    # 50-digit Lagrange inversion of y = s psi(s)^(1/2) from the same double
-    # phase coefficients: [y^k] s = [s^(k-1)] q^k / k with q = psi^(-1/2).
-    # Each coefficient's error is measured against the same sum taken with
-    # |q|, the size of the terms the double computation adds up.
+    # Every coefficient of the double saddle map against a 50-digit solution
+    # of its ODE, each to 1e-11 of itself.  No floor scaled by the largest
+    # coefficient: they fall geometrically (to ~1e-19 at k = 30), and such a
+    # floor would pass a map whose top coefficients are wrong in every digit.
+    # Lagrange reversion of the double phase series checks the ODE to k = 6.
     mp = pytest.importorskip("mpmath")
-    phi = phase(*param, order + 1)
-    s = saddle_series(phi)
+    build = {_geg_phase: cf.geg_saddle_x, _ext_phase: cf.ext_saddle_x}[phase]
+    _, s = build(*param, order - 1)
     assert s.order == order
     with mp.workdps(50):
-        psi = [2 * mp.mpf(c) for c in phi.coeffs[2:]]
-        q = [psi[0] ** mp.mpf(-0.5)]
-        for k in range(1, order):
-            q.append(mp.fsum((j / mp.mpf(2) - k) * psi[j] * q[k - j]
-                             for j in range(1, k + 1)) / (k * psi[0]))
-
-        def lagrange(q):
-            out, q_k = [], [mp.mpf(1)] + [mp.mpf(0)] * (order - 1)
-            for k in range(1, order + 1):
-                q_k = [mp.fsum(q_k[i] * q[j - i] for i in range(j + 1))
-                       for j in range(order)]
-                out.append(q_k[k - 1] / k)
-            return out
-        ref = lagrange(q)
-        env = lagrange([abs(c) for c in q])
+        q, (r0, r1, r2) = _mp_saddle_ode(mp, phase, param)
+        ref = [mp.mpf(0), mp.sqrt(r0 / q)]
+        for k in range(2, order + 1):
+            qk = q * (k + 1)
+            ref.append((r1 * ref[k - 1]
+                        + r2 * mp.fsum(ref[i] * ref[k - 1 - i]
+                                       for i in range(1, k - 1))
+                        - qk / 2 * mp.fsum(ref[i] * ref[k + 1 - i]
+                                           for i in range(2, k)))
+                       / (qk * ref[1]))
         for k in range(1, order + 1):
-            assert abs(s.coeffs[k] - ref[k - 1]) <= 1e-14 * env[k - 1]
+            assert abs(s.coeffs[k] - ref[k]) <= 1e-11 * abs(ref[k])
+    low = saddle_series(phase(*param, 7))
+    for k in range(1, 7):
+        assert low.coeffs[k] == pytest.approx(s.coeffs[k], rel=1e-11, abs=0.0)
 
 
 def test_saddle_series_weighted_phase():
     c, d = 1.0, 3.0
-    s = saddle_series(_geg_phase(c, d, 10))
+    _, s = cf.geg_saddle_x(c, d, 9)
     a1 = 2 * math.sqrt(c * d / (c + d) ** 3)
     a2 = 2 * (c - d) / (3 * (c + d) ** 2)
     a3 = (c * c - 11 * c * d + d * d) / (9 * a1 * (c + d) ** 4)
-    assert s.coeffs[1] == pytest.approx(a1, rel=1e-13)
-    assert s.coeffs[2] == pytest.approx(a2, rel=1e-13)
-    assert s.coeffs[3] == pytest.approx(a3, rel=1e-12)
+    assert s.coeffs[1] == pytest.approx(a1, rel=1e-13, abs=0.0)
+    assert s.coeffs[2] == pytest.approx(a2, rel=1e-13, abs=0.0)
+    assert s.coeffs[3] == pytest.approx(a3, rel=1e-12, abs=0.0)
 
 
 def test_saddle_series_symmetric_phase():
-    s = saddle_series(_geg_phase(1.0, 1.0, 10))
+    _, s = cf.geg_saddle_x(1.0, 1.0, 9)
     assert s.coeffs[1] == pytest.approx(math.sqrt(0.5), rel=1e-14)
     assert s.coeffs[2] == pytest.approx(0.0, abs=1e-14)
 
@@ -261,22 +274,21 @@ def test_saddle_series_exp_log_phase():
     # phase lam*s - log(1 + lam*s): inverse coefficients 1/lam, 1/(3 lam),
     # 1/(36 lam), -1/(270 lam), 1/(4320 lam)
     lam = 2.0
-    phi = Series.from_coeffs(
-        [0.0, 0.0] + [(-1.0) ** k * lam ** k / k for k in range(2, 9)])
-    s = saddle_series(phi)
+    _, s = cf.ext_saddle_x(lam, 7)
     expect = [1 / lam, 1 / (3 * lam), 1 / (36 * lam), -1 / (270 * lam),
               1 / (4320 * lam)]
     for k, want in enumerate(expect, start=1):
-        assert s.coeffs[k] == pytest.approx(want, rel=1e-11)
+        assert s.coeffs[k] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_saddle_series_residual_invariant():
-    phi = _geg_phase(1.0, 3.0, 14)
-    s = saddle_series(phi)
-    resid = series_compose(phi, s)
-    for k, ck in enumerate(resid.coeffs):
-        want = 0.5 if k == 2 else 0.0
-        assert ck == pytest.approx(want, abs=1e-10)
+    # the phase composed with its saddle map is y^2/2
+    for phi, (_, s) in [(_geg_phase(1.0, 3.0, 14), cf.geg_saddle_x(1.0, 3.0, 13)),
+                        (_ext_phase(2.0, 14), cf.ext_saddle_x(2.0, 13))]:
+        resid = series_compose(phi, s)
+        for k, ck in enumerate(resid.coeffs):
+            want = 0.5 if k == 2 else 0.0
+            assert ck == pytest.approx(want, abs=1e-10)
 
 
 def test_saddle_series_rejects_non_minimum():
