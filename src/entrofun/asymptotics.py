@@ -109,11 +109,7 @@ def _assemble(prefactor: LogValue, terms, branch: str,
 
 def _depth(K: int | None, default: int = K_MAX) -> int:
     """The truncation depth for an evaluator's K argument."""
-    if K is None:
-        return default
-    if not 0 <= K <= K_MAX:
-        raise ValueError(f"K must lie in [0, {K_MAX}], got {K}")
-    return K
+    return default if K is None else K
 
 
 def _no_expansion(F: Functional) -> bool:
@@ -398,11 +394,12 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
                         tol_rel: float = TOL_REL) -> ExpansionResult:
     """Evaluate any functional by its asymptotic route.
 
-    ``tol_rel`` must lie in the oracle's [TOL_MIN, TOL_MAX]; the result is
-    ``ok`` iff its error estimate is at most ``tol_rel``.  Where no expansion
-    exists (Gegenbauer Shannon at c = d, extended Shannon at lambda = 1)
-    this returns the oracle value at ``tol_rel``, with branch
-    ``oracle_only`` and status ``no_expansion``; K is then unused.  Otherwise
+    ``tol_rel`` must lie in the oracle's [TOL_MIN, TOL_MAX], and an explicit
+    K in [0, K_MAX], on every route; the result is ``ok`` iff its error
+    estimate is at most ``tol_rel``.  Where no expansion exists (Gegenbauer
+    Shannon at c = d, extended Shannon at lambda = 1) this returns the
+    oracle value at ``tol_rel``, with branch ``oracle_only`` and status
+    ``no_expansion``; K is then unused.  Otherwise
     the family evaluator runs, and ``K = None`` takes its default: K_MAX
     terms truncated optimally for the Renyi kinds, K_MAX terms kept for the
     plain Laguerre and Gegenbauer Shannon kinds, and K = 1 kept for the
@@ -412,6 +409,8 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
     at most two on the symmetric and Hermite-limit branches.
     """
     oracle._check_tol(tol_rel)
+    if K is not None and not 0 <= K <= K_MAX:
+        raise ValueError(f"K must lie in [0, {K_MAX}], got {K}")
     if _no_expansion(F):
         q = oracle.integrate_functional(F, tol_rel)
         return ExpansionResult(q.value, (1.0,), 1, "oracle_only", tol_rel, q)

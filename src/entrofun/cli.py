@@ -24,6 +24,9 @@ from .oracle import QuadratureError, integrate_functional
 
 _METHODS = ("asym", "closed", "oracle")
 
+# failures reported as JSON by `main`, and as error rows by a sweep
+_REPORTED = (ValueError, QuadratureError, ArithmeticError)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -111,14 +114,6 @@ def _functional_from_args(args) -> Functional:
         raise CliError(str(exc)) from exc
 
 
-def _value_payload(v: LogValue) -> dict:
-    return {
-        "sign": v.sign,
-        "log_abs": v.log_abs,
-        "linear_if_representable": v.to_float() if v.representable else None,
-    }
-
-
 def _order_arg(text: str) -> int | None:
     if text == "auto":
         return None
@@ -131,47 +126,35 @@ def _order_arg(text: str) -> int | None:
     return k
 
 
-def _eval_document(F: Functional, method: str, K, tol: float) -> dict:
-    doc = {
-        "functional": F.kind.value,
-        "params": F.params_dict(),
-        "method": method,
-    }
+def _evaluate(F: Functional, method: str, K, tol: float) -> dict:
+    """F's value by one method, then the fields that method reports, in the
+    order of the eval document."""
     if method == "oracle":
         q = integrate_functional(F, tol)
-        doc["value"] = _value_payload(q.value)
-        doc["error_estimate"] = (math.exp(q.abs_err_log - q.value.log_abs)
-                                 if q.value.sign != 0 else 0.0)
-        doc["n_evals"] = q.n_evals
-        doc["terms"] = []
-        doc["truncation_used"] = None
-        doc["branch"] = "oracle"
-        doc["status"] = "ok"
-        return doc
+        err = (math.exp(q.abs_err_log - q.value.log_abs)
+               if q.value.sign != 0 else 0.0)
+        return {"value": q.value, "error_estimate": err, "n_evals": q.n_evals,
+                "terms": [], "truncation_used": None, "branch": "oracle",
+                "status": "ok"}
     if method == "closed":
-        doc["value"] = _value_payload(closed_form_value(F))
-        doc["error_estimate"] = None
-        doc["terms"] = []
-        doc["truncation_used"] = None
-        doc["branch"] = "closed_form"
-        doc["status"] = "ok"
-        return doc
-    if method != "asym":
-        raise CliError(f"unknown method {method!r}; choose oracle, asym or closed")
+        return {"value": closed_form_value(F), "error_estimate": None,
+                "terms": [], "truncation_used": None, "branch": "closed_form",
+                "status": "ok"}
     res = evaluate_asymptotic(F, K, tol_rel=tol)
-    doc["value"] = _value_payload(res.value)
-    doc["error_estimate"] = res.error_estimate
-    doc["terms"] = list(res.terms)
-    doc["truncation_used"] = res.truncation_used
-    doc["branch"] = res.branch
-    doc["status"] = res.status
-    return doc
+    return {"value": res.value, "error_estimate": res.error_estimate,
+            "terms": list(res.terms), "truncation_used": res.truncation_used,
+            "branch": res.branch, "status": res.status}
 
 
 def cmd_eval(args) -> int:
     F = _functional_from_args(args)
-    K = _order_arg(args.order)
-    doc = _eval_document(F, args.method, K, args.tol)
+    doc = {"functional": F.kind.value, "params": F.params_dict(),
+           "method": args.method,
+           **_evaluate(F, args.method, _order_arg(args.order), args.tol)}
+    v = doc["value"]
+    doc["value"] = {"sign": v.sign, "log_abs": v.log_abs,
+                    "linear_if_representable":
+                        v.to_float() if v.representable else None}
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -221,19 +204,14 @@ def _sweep_point(job) -> dict:
     try:
         kind = Kind(params.pop("kind"))
         F = Functional(kind, params.pop("m"), params.pop("alpha"), **params)
-        if method == "oracle":
-            v = integrate_functional(F, tol).value
-        elif method == "closed":
-            v = closed_form_value(F)
-        else:
-            res = evaluate_asymptotic(F, K, tol_rel=tol)
-            v = res.value
-            row["K"] = res.truncation_used - 1
-            row["status"] = res.status
-        row["sign"] = v.sign
-        row["log_abs"] = v.log_abs
-    except (ValueError, QuadratureError, ZeroDivisionError) as exc:
+        out = _evaluate(F, method, K, tol)
+    except _REPORTED as exc:
         row["status"] = f"error: {exc}"
+        return row
+    if out["truncation_used"] is not None:
+        row["K"] = out["truncation_used"] - 1
+    row.update(sign=out["value"].sign, log_abs=out["value"].log_abs,
+               status=out["status"])
     return row
 
 
@@ -245,6 +223,8 @@ def cmd_sweep(args) -> int:
                          _order_arg(args.order))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     methods = list(spec.methods)
     jobs = []
     for alpha in spec.grid():
@@ -252,12 +232,14 @@ def cmd_sweep(args) -> int:
         params["alpha"] = alpha
         for method in methods:
             jobs.append((dict(params), method, spec.K, args.tol))
-    if args.jobs > 1:
+    # the pool starts all its workers at once, so no more than there are points
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         # imported here: the pool machinery costs every other command's start
         from concurrent.futures import ProcessPoolExecutor
         # a few chunks per worker, not one pickling round trip per point
-        chunksize = max(1, len(jobs) // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunksize = max(1, len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs, chunksize=chunksize))
     else:
         rows = [_sweep_point(j) for j in jobs]
@@ -375,13 +357,17 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _add_weight_args(p: argparse.ArgumentParser) -> None:
+    for name in ("mu", "sigma", "kappa", "a", "b", "c", "d"):
+        p.add_argument(f"--{name}", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=None)
+
+
 def _add_functional_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, help="i1 i2 i3 i4 i5 i5s")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    for name in ("mu", "sigma", "kappa", "a", "b", "c", "d"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    _add_weight_args(p)
 
 
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -430,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--x", type=float, default=None)
-    for name in ("mu", "sigma", "kappa", "a", "b", "c", "d"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    _add_weight_args(p)
     p.add_argument("--format", default="json", choices=("json", "pretty"))
     p.set_defaults(func=cmd_coeffs)
     return ap
@@ -447,15 +431,12 @@ def _error(doc: dict) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except CliError as exc:
         return _error({"error": str(exc)})
-    try:
-        return args.func(args)
-    except CliError as exc:
-        return _error({"error": str(exc)})
-    except (ValueError, QuadratureError) as exc:
+    except _REPORTED as exc:
         return _error({"error": str(exc), "type": type(exc).__name__})
 
 

@@ -72,11 +72,14 @@ class Functional:
                 raise ValueError(f"{self.kind.value} requires parameter {name}")
             if name not in required and val is not None:
                 raise ValueError(f"{self.kind.value} does not take parameter {name}")
-        for name, positive in (("mu", True), ("lam", True), ("kappa", True),
-                               ("c", True), ("d", True)):
+        for name in ("mu", "lam", "kappa", "c", "d"):
             val = getattr(self, name)
-            if val is not None and positive and not val > 0:
+            if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive, got {val}")
+        for name in ("alpha", *_PARAM_FIELDS):
+            val = getattr(self, name)
+            if val is not None and not abs(val) < float("inf"):
+                raise ValueError(f"{name} must be finite, got {val}")
 
     # -- convenience constructors -------------------------------------------
 

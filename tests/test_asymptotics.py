@@ -475,6 +475,16 @@ def test_evaluate_asymptotic_validates_tol(F, tol):
 
 
 @pytest.mark.parametrize("F", [
+    Functional.lag_renyi(2, 400.0, 2.5, 1.0, 2.0),
+    Functional.gegenbauer_weight_shannon(2, 80.0),  # the oracle fallback
+], ids=["watson", "oracle_only"])
+@pytest.mark.parametrize("K", [-3, K_MAX + 1, 99])
+def test_evaluate_asymptotic_validates_K(F, K):
+    with pytest.raises(ValueError, match=rf"K must lie in \[0, {K_MAX}\], got {K}"):
+        evaluate_asymptotic(F, K)
+
+
+@pytest.mark.parametrize("F", [
     *_bench_workloads().ROADMAP_ITEM4,
     # a K_MAX Watson ladder 4.3e-2 and 5.2e-3 off the oracle
     Functional.lag_renyi(8, 314.27, 3.588, 0.741, 3.739),

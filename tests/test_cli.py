@@ -114,6 +114,85 @@ def test_jobs_do_not_change_output(capsys):
     assert seq == par
 
 
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+_TWO_POINT_SWEEP = ("sweep", "--kind", "i1", "--m", "2", "--alpha", "1",
+                    "--mu", "2.5", "--lambda", "1", "--kappa", "2",
+                    "--alpha-start", "100", "--alpha-stop", "200", "--count",
+                    "2", "--methods", "asym")
+
+
+def test_sweep_pool_capped_at_points(capsys, monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    code, par, _ = run_cli(capsys, *_TWO_POINT_SWEEP, "--jobs", "64")
+    assert code == 0 and _RecordingPool.sizes == [2]
+    _, seq, _ = run_cli(capsys, *_TWO_POINT_SWEEP, "--jobs", "1")
+    assert par == seq and _RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, *_TWO_POINT_SWEEP, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs must be at least 1" in json.loads(err)["error"]
+
+
+_I1_M2 = ("--kind", "i1", "--m", "2", "--mu", "2.5", "--lambda", "1",
+          "--kappa", "2")
+
+
+@pytest.mark.parametrize("method", ["asym", "oracle"])
+def test_eval_rejects_infinite_alpha(capsys, method):
+    code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "inf",
+                             "--method", method)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "alpha must be finite, got inf"}
+
+
+def test_eval_reports_overflow(capsys):
+    code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "1e308")
+    assert code == 2 and out == ""
+    assert json.loads(err)["type"] == "OverflowError"
+
+
+def test_sweep_reports_overflow_rows(capsys):
+    code, out, _ = run_cli(capsys, "sweep", *_I1_M2, "--alpha", "1",
+                           "--alpha-start", "1e300", "--alpha-stop", "1e308",
+                           "--count", "2", "--methods", "asym")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    assert all(r["status"].startswith("error: ") for r in rows)
+
+
+def test_eval_order_out_of_range_without_expansion(capsys):
+    # the oracle_only route checks K like every other route
+    code, out, err = run_cli(capsys, "eval", "--kind", "i4", "--m", "2",
+                             "--alpha", "80", "--order", "99")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "K must lie in [0, 7], got 99"
+
+
 def test_import_leaves_the_process_pool_out():
     # only `sweep --jobs N` with N > 1 needs the pool; importing it costs
     # every other command's start

@@ -35,6 +35,26 @@ def test_basic_range_checks():
         Functional.lag_renyi(1, 50.0, 2.0, -1.0, 2.0)
     with pytest.raises(ValueError):
         Functional.geg_renyi(1, 50.0, 0.0, 0.0, 0.0, 1.0, 2.0)
+    # non-finite alpha and weight parameters
+    inf, nan = float("inf"), float("nan")
+    for alpha in (inf, nan):
+        with pytest.raises(ValueError, match="alpha must be"):
+            Functional.lag_renyi(2, alpha, 2.5, 1.0, 2.0)
+    for bad in (inf, -inf, nan):
+        with pytest.raises(ValueError, match="must be"):
+            Functional.lag_renyi(2, 50.0, bad, 1.0, 2.0)
+        with pytest.raises(ValueError, match="must be"):
+            Functional.lag_renyi(2, 50.0, 2.5, 1.0, bad)
+        with pytest.raises(ValueError, match="a must be finite"):
+            Functional.geg_renyi(2, 50.0, bad, 0.0, 1.0, 3.0, 2.0)
+        with pytest.raises(ValueError, match="b must be finite"):
+            Functional.geg_shannon(2, 50.0, 0.0, bad, 1.0, 3.0)
+        with pytest.raises(ValueError, match="must be"):
+            Functional.geg_renyi(2, 50.0, 0.0, 0.0, 1.0, bad, 2.0)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            Functional.ext_renyi(2, 50.0, bad, 2.0, 2.0)
+        with pytest.raises(ValueError, match="must be"):
+            Functional.ext_shannon(2, 50.0, 1.0, bad)
 
 
 def test_symmetric_weight_shannon_helper():
