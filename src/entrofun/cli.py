@@ -43,10 +43,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("sweep requires count >= 2")
-        if not self.alpha_start > 0:
-            raise ValueError("sweep requires alpha_start > 0")
-        if not self.alpha_stop > 0:
-            raise ValueError("sweep requires alpha_stop > 0")
+        for name in ("alpha_start", "alpha_stop"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"sweep requires a finite {name} > 0, "
+                                 f"got {value}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if not self.methods:

@@ -159,13 +159,13 @@ def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
     if dkappa:
         A, dA = A
     B, dB = _lag_B_table(mu, lam, kappa, m, k_max, dkappa)
-    values = tuple(math.fsum(A[j] * B[j][k - j] for j in range(k + 1))
+    values = tuple(math.fsum([A[j] * B[j][k - j] for j in range(k + 1)])
                    for k in range(k_max + 1))
     derivs = None
     if dkappa:
         derivs = tuple(
-            math.fsum(dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
-                      for j in range(k + 1))
+            math.fsum([dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
+                       for j in range(k + 1)])
             for k in range(k_max + 1))
     return CoeffLadder(values, dkappa=derivs)
 
@@ -261,8 +261,8 @@ def _log_phase_saddle(q: float, r: tuple[float, float, float],
     for k in range(2, order + 1):
         qk = q * (k + 1)
         acc = (r1 * s[k - 1]
-               + r2 * math.fsum(s[i] * s[k - 1 - i] for i in range(1, k - 1))
-               - 0.5 * qk * math.fsum(s[i] * s[k + 1 - i] for i in range(2, k)))
+               + r2 * math.fsum([s[i] * s[k - 1 - i] for i in range(1, k - 1)])
+               - 0.5 * qk * math.fsum([s[i] * s[k + 1 - i] for i in range(2, k)]))
         s.append(acc / (qk * s[1]))
     return Series(tuple(s))
 
@@ -320,9 +320,9 @@ def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
 
 def _gaussian_moments(A, amps, k_max: int) -> tuple[float, ...]:
     """sum_{j<=k} A_j [y^(2(k-j))] amp_j (2(k-j)-1)!! for k = 0..k_max."""
-    return tuple(math.fsum(
+    return tuple(math.fsum([
         A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
-        for j in range(k + 1)) for k in range(k_max + 1))
+        for j in range(k + 1)]) for k in range(k_max + 1))
 
 
 def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,

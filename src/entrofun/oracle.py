@@ -24,7 +24,14 @@ Each segment stores the running sum of every level it has evaluated, so
 refinement never evaluates a level twice, and the missing levels of all
 unsettled segments are evaluated together, in batched calls of the
 integrand: the first pass asks for levels 0 to 3 of every segment at once,
-since none can settle before its level 3 exists.
+since none can settle before its level 3 exists.  The batches run with
+numpy's floating-point warnings off, and the first one that holds a
+non-finite value ends the integral with a ``QuadratureError`` that names
+alpha and m.
+
+The Hermite power integral needs the zeros of H_m and a bound on its
+coefficients; both depend on m alone, so they are computed once per degree,
+on first use.
 
 All floating-point work happens after dividing the integrand by a log-space
 scale close to its peak, so magnitudes stay near unity even where the true
@@ -44,8 +51,9 @@ import numpy as np
 
 from .functional import Functional
 from .logvalue import LogValue
-from .orthopoly import (_laguerre_zero_floor, gegenbauer_value, hermite_value,
-                        hermite_zeros, laguerre_value, polynomial_zeros)
+from .orthopoly import (MAX_DEGREE, _check_degree, _laguerre_zero_floor,
+                        gegenbauer_value, hermite_value, hermite_zeros,
+                        laguerre_value, polynomial_zeros)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 _T_MAX = 6.1
@@ -132,7 +140,12 @@ def _evaluate_next_levels(integrand, bounds, sums, pending, min_level) -> int:
     nodes (``_BATCH_NODES``), which bounds the memory of a batch by that of
     a single segment.  Each segment's levels stay in ascending order, so its
     running sums are appended one level at a time.  Returns the number of
-    nodes."""
+    nodes.
+
+    Every weight is positive, so a level's sum is finite only if each of its
+    values is; a batch that holds a non-finite value raises
+    ``QuadratureError`` at once, since no later level could make that
+    segment's running sum finite again."""
     batches, size = [[]], 0
     for i in pending:
         for level in range(len(sums[i]), max(len(sums[i]), min_level) + 1):
@@ -156,6 +169,9 @@ def _evaluate_next_levels(integrand, bounds, sums, pending, min_level) -> int:
             b = a + w.size
             half_i = 0.5 * (bounds[i + 1] - bounds[i])
             contrib = half_i * float(np.dot(w, vals[a:b]))
+            if not math.isfinite(contrib):
+                raise QuadratureError(f"non-finite integrand value after "
+                                      f"{n_evals + lo.size} evaluations")
             s = sums[i]
             s.append(0.5 * s[-1] + contrib if s else contrib)
             a = b
@@ -370,14 +386,22 @@ def _geg_segments_and_scale(F: Functional):
 
 
 def _quadrature(bounds, log_pref: float, integrand, tail: float,
-                tol_rel: float, signed: bool, may_vanish: bool) -> QuadResult:
+                tol_rel: float, signed: bool, may_vanish: bool,
+                where: str = "") -> QuadResult:
     """Integrate the scaled integrand over every segment, certify the
     tolerance and undo the scale.
 
     ``signed`` allows a negative total (Shannon integrands change sign);
     ``may_vanish`` accepts an exactly zero total as the value zero.
+    ``where`` names the inputs in the message of a non-finite integrand.
+    The integrand runs with numpy's floating-point warnings off: a value
+    they would warn of ends the integral as a ``QuadratureError``.
     """
-    total, err, n_evals = _refine_segments(integrand, bounds, tol_rel)
+    try:
+        with np.errstate(all="ignore"):
+            total, err, n_evals = _refine_segments(integrand, bounds, tol_rel)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc}{where}") from None
     err += tail
     segments = tuple(zip(bounds[:-1], bounds[1:]))
 
@@ -414,7 +438,18 @@ def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
     _check_tol(tol_rel)
     build = _geg_segments_and_scale if F.kind.is_gegenbauer else _lag_segments_and_scale
     return _quadrature(*build(F), tol_rel, signed=F.kind.is_shannon,
-                       may_vanish=F.kind.is_shannon and F.m == 0)
+                       may_vanish=F.kind.is_shannon and F.m == 0,
+                       where=f" at alpha = {F.alpha!r}, m = {F.m}")
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE + 1)
+def _hermite_pieces(m: int) -> tuple[tuple[float, ...], float]:
+    """The zeros of H_m and the log of the sum of its absolute power-basis
+    coefficients: the parts of ``hermite_power_integral`` that depend on m
+    alone, computed on first use."""
+    coeff_bound = math.log(math.fsum(
+        abs(c) for c in np.polynomial.hermite.herm2poly([0.0] * m + [1.0])))
+    return (hermite_zeros(m).roots if m >= 1 else ()), coeff_bound
 
 
 def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
@@ -422,18 +457,17 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
     """integral of exp(-alpha y^2 / 2) |H_m(y sqrt(alpha/2))|^kappa over R,
     computed in the substituted variable t = y sqrt(alpha/2)."""
     _check_tol(tol_rel)
+    _check_degree(m)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if alpha_scale <= 0:
         raise ValueError("alpha_scale must be positive")
-    coeff_bound = math.log(math.fsum(
-        abs(c) for c in np.polynomial.hermite.herm2poly([0.0] * m + [1.0])))
+    zeros, coeff_bound = _hermite_pieces(m)
     t_hi = 2.0
     while (-t_hi * t_hi + kappa * (coeff_bound + m * math.log(max(t_hi, 1.0)))
            > math.log(TOL_MIN) - 8.0):
         t_hi *= 1.3
-    zeros = list(hermite_zeros(m).roots) if m >= 1 else []
-    bounds = [-t_hi] + zeros + [t_hi]
+    bounds = [-t_hi, *zeros, t_hi]
 
     # scale off the peak of the scaled integrand
     probe = np.linspace(-t_hi, t_hi, 201)
@@ -447,7 +481,8 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
         return _integrand_values(-t * t + kappa * logp - log_pref, logp, False)
 
     q = _quadrature(bounds, log_pref, integrand, 0.0, tol_rel,
-                    signed=False, may_vanish=False)
+                    signed=False, may_vanish=False,
+                    where=f" at alpha = {alpha_scale!r}, m = {m}")
     log_jac = 0.5 * (math.log(2.0) - math.log(alpha_scale))
     return QuadResult(LogValue(1, q.value.log_abs + log_jac), q.abs_err_log + log_jac,
                       q.n_evals, q.segments)

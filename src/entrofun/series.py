@@ -8,10 +8,21 @@ maps themselves come from their ODE in :mod:`entrofun.coeffs`.
 A :class:`Series` is a plain tuple of double coefficients with an explicit
 truncation order; operations never silently extend the order, results carry
 the minimum of the operand orders.
+
+Coefficient k of every operation depends only on coefficients 0..k of its
+operands and is summed in a fixed order, so a truncated build equals a deeper
+one bit for bit; the ladder builders in :mod:`entrofun.coeffs` rely on this.
+The kernels keep their operands in locals and hand ``math.fsum`` lists, and
+the tests pin them bit for bit to plain reference loops.  Products accumulate
+``out[i + j] += a * b`` explicitly: builtin ``sum`` compensates float sums
+from Python 3.12 on, so it would round differently across interpreter
+versions, and ``np.convolve`` does not sum coefficient k in the same order
+for every operand length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -46,6 +57,8 @@ class Series:
         return Series((float(value),) + (0.0,) * order)
 
     def truncate(self, order: int) -> "Series":
+        if order <= self.order:
+            return Series(self.coeffs[:order + 1])
         return Series.from_coeffs(self.coeffs, order)
 
     # -- ring operations (min-order truncation) -----------------------------
@@ -59,16 +72,18 @@ class Series:
         return Series(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
 
     def __mul__(self, other) -> "Series":
+        x = self.coeffs
         if isinstance(other, (int, float)):
-            return Series(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        out = [0.0] * (n + 1)
-        for i in range(min(self.order, n) + 1):
-            a = self.coeffs[i]
+            return Series(tuple([c * other for c in x]))
+        y = other.coeffs
+        n = min(len(x), len(y))
+        out = [0.0] * n
+        for i in range(n):
+            a = x[i]
             if a == 0.0:
                 continue
-            for j in range(min(other.order, n - i) + 1):
-                out[i + j] += a * other.coeffs[j]
+            for j in range(n - i):
+                out[i + j] += a * y[j]
         return Series(tuple(out))
 
     __rmul__ = __mul__
@@ -81,32 +96,37 @@ class Series:
 
 
 def series_log(a: Series) -> Series:
-    if a.coeffs[0] <= 0.0:
+    c = a.coeffs
+    if c[0] <= 0.0:
         raise ValueError("series log requires a positive constant term")
-    n = a.order
+    n = len(c) - 1
     out = [0.0] * (n + 1)
-    out[0] = math.log(a.coeffs[0])
+    out[0] = math.log(c[0])
     for k in range(1, n + 1):
-        acc = k * a.coeffs[k]
-        acc -= math.fsum(j * out[j] * a.coeffs[k - j] for j in range(1, k))
-        out[k] = acc / (k * a.coeffs[0])
+        acc = k * c[k]
+        acc -= math.fsum([j * out[j] * c[k - j] for j in range(1, k)])
+        out[k] = acc / (k * c[0])
     return Series(tuple(out))
 
 
 def series_pow(a: Series, rho: float) -> Series:
     """a(y)**rho for real rho; requires a positive constant term."""
-    if a.coeffs[0] <= 0.0:
+    c = a.coeffs
+    if c[0] <= 0.0:
         raise ValueError("series pow requires a positive constant term")
-    n = a.order
+    n = len(c) - 1
+    rho1 = rho + 1.0
     out = [0.0] * (n + 1)
-    out[0] = a.coeffs[0] ** rho
+    out[0] = c[0] ** rho
     for k in range(1, n + 1):
-        acc = math.fsum(((rho + 1.0) * j - k) * a.coeffs[j] * out[k - j]
-                        for j in range(1, k + 1))
-        out[k] = acc / (k * a.coeffs[0])
+        acc = math.fsum([(rho1 * j - k) * c[j] * out[k - j]
+                         for j in range(1, k + 1)])
+        out[k] = acc / (k * c[0])
     return Series(tuple(out))
 
 
+# room for every k whose value is finite: (2k-1)!! overflows from k = 151
+@functools.lru_cache(maxsize=256)
 def _double_factorial_odd(k: int) -> float:
     """(2k-1)!! = 2^k (1/2)_k; equals 1 for k = 0."""
     out = 1.0

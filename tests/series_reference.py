@@ -7,6 +7,12 @@ Lagrange reversion, the low-order cross-check of the saddle maps that
 ``entrofun.coeffs`` builds from their ODE.  ``series_exp`` inverts
 ``series_log`` in a round-trip test, and ``laplace_sum`` folds the
 Gaussian-moment terms into the Laplace bracket.
+
+``ref_mul``, ``ref_pow``, ``ref_log``, ``ref_truncate`` and
+``ref_double_factorial_odd`` are the plain loops that the kernels of
+``entrofun.series`` must match bit for bit: the kernels bind their operands
+to locals and hand ``math.fsum`` lists, but every coefficient is the same
+sum of the same products.
 """
 
 import math
@@ -105,3 +111,57 @@ def laplace_sum(amplitude: Series, alpha: float, K: int) -> float:
     """The dimensionless Laplace bracket; the caller applies sqrt(2 pi/alpha)
     and the exponential prefactor in log space."""
     return math.fsum(laplace_terms(amplitude, alpha, K))
+
+
+def ref_mul(x: Series, other) -> Series:
+    """x * other, the scalar or the Cauchy product truncated at the lower
+    order, accumulated term by term in increasing i."""
+    if isinstance(other, (int, float)):
+        return Series(tuple(c * other for c in x.coeffs))
+    n = min(x.order, other.order)
+    out = [0.0] * (n + 1)
+    for i in range(min(x.order, n) + 1):
+        a = x.coeffs[i]
+        if a == 0.0:
+            continue
+        for j in range(min(other.order, n - i) + 1):
+            out[i + j] += a * other.coeffs[j]
+    return Series(tuple(out))
+
+
+def ref_log(a: Series) -> Series:
+    if a.coeffs[0] <= 0.0:
+        raise ValueError("series log requires a positive constant term")
+    n = a.order
+    out = [0.0] * (n + 1)
+    out[0] = math.log(a.coeffs[0])
+    for k in range(1, n + 1):
+        acc = k * a.coeffs[k]
+        acc -= math.fsum(j * out[j] * a.coeffs[k - j] for j in range(1, k))
+        out[k] = acc / (k * a.coeffs[0])
+    return Series(tuple(out))
+
+
+def ref_pow(a: Series, rho: float) -> Series:
+    if a.coeffs[0] <= 0.0:
+        raise ValueError("series pow requires a positive constant term")
+    n = a.order
+    out = [0.0] * (n + 1)
+    out[0] = a.coeffs[0] ** rho
+    for k in range(1, n + 1):
+        acc = math.fsum(((rho + 1.0) * j - k) * a.coeffs[j] * out[k - j]
+                        for j in range(1, k + 1))
+        out[k] = acc / (k * a.coeffs[0])
+    return Series(tuple(out))
+
+
+def ref_truncate(a: Series, order: int) -> Series:
+    """a cut, or padded with zeros, to ``order``."""
+    return Series.from_coeffs(a.coeffs, order)
+
+
+def ref_double_factorial_odd(k: int) -> float:
+    out = 1.0
+    for j in range(1, 2 * k, 2):
+        out *= j
+    return out

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,30 @@ def test_sweep_symmetric_ratio_tracks_first_correction(capsys):
         ratio = math.exp(logs["closed"] - logs["asym"])
         expect = 1.0 + (2 * m * m - 2 * m + 3) / (8 * alpha)
         assert ratio == pytest.approx(expect, abs=40.0 / alpha ** 2)
+
+
+@pytest.mark.parametrize("bound", ["start", "stop"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_sweep_rejects_non_finite_bounds(capsys, bound, value):
+    bounds = {"start": "100", "stop": "200", bound: value}
+    code, out, err = run_cli(capsys, "sweep", *_I1_M2, "--alpha", "1",
+                             "--alpha-start", bounds["start"],
+                             "--alpha-stop", bounds["stop"],
+                             "--count", "3", "--methods", "asym")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": f"sweep requires a finite alpha_{bound} > 0, got {value}"}
+
+
+def test_oracle_overflow_is_one_json_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "1e300",
+                                 "--method", "oracle")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "QuadratureError"
+    assert "alpha = 1e+300, m = 2" in doc["error"]
 
 
 def test_sweep_spec_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
 from entrofun.oracle import (QuadratureError, hermite_power_integral,
                              integrate_functional, shannon_integrand_value)
-from entrofun.orthopoly import MAX_DEGREE, gegenbauer_value, polynomial_zeros
+from entrofun.orthopoly import (MAX_DEGREE, gegenbauer_value, hermite_zeros,
+                                polynomial_zeros)
 
 
 def test_tolerance_range_enforced():
@@ -338,6 +340,36 @@ def test_non_finite_integrand_raises(fill):
                            signed=False, may_vanish=False)
 
 
+@pytest.mark.parametrize("fill", [math.inf, math.nan])
+def test_non_finite_integrand_stops_at_its_first_batch(fill):
+    # one bad node in the first batch ends the quadrature: no later level
+    # could make that segment's sum finite again
+    calls = []
+
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        calls.append(x.size)
+        vals = np.ones(x.shape)
+        vals[x.size // 2] = fill
+        return vals
+    with pytest.raises(QuadratureError, match="non-finite integrand.* at A"):
+        oracle._quadrature([0.0, 0.5, 1.0], 0.0, integrand, 0.0, 1e-10,
+                           signed=False, may_vanish=False, where=" at A")
+    assert len(calls) == 1
+
+
+def test_overflowing_laguerre_integrand_raises_without_warnings():
+    # at alpha = 1e300 the recurrence overflows: the first batch already
+    # holds a non-finite value, and the error names alpha and m
+    F = Functional.lag_renyi(2, 1e300, 2.5, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError,
+                           match=r"alpha = 1e\+300, m = 2") as info:
+            integrate_functional(F)
+    n_evals = int(str(info.value).split(" after ")[1].split()[0])
+    assert n_evals <= oracle._BATCH_NODES
+
+
 # ---------------------------------------------------------------------------
 # Batched level refinement against a segment-by-segment reference
 # ---------------------------------------------------------------------------
@@ -641,6 +673,29 @@ def test_batched_integrand_calls_stay_within_one_finest_level(monkeypatch, name,
 # ---------------------------------------------------------------------------
 # Hermite power integral
 # ---------------------------------------------------------------------------
+
+def test_hermite_pieces_equal_a_fresh_computation():
+    oracle._hermite_pieces.cache_clear()
+    for _ in range(2):  # the first pass fills the cache, the second reads it
+        for m in range(MAX_DEGREE + 1):
+            zeros, bound = oracle._hermite_pieces(m)
+            assert zeros == (hermite_zeros(m).roots if m >= 1 else ())
+            assert bound == math.log(math.fsum(abs(c) for c in
+                np.polynomial.hermite.herm2poly([0.0] * m + [1.0])))
+
+
+@pytest.mark.parametrize("m, kappa", [(0, 1.3), (3, 1.5), (8, 2.7), (25, 0.9)])
+def test_hermite_power_integral_repeats_exactly(m, kappa):
+    oracle._hermite_pieces.cache_clear()
+    first = hermite_power_integral(m, kappa, 200.0)  # fills the cache
+    assert hermite_power_integral(m, kappa, 200.0) == first
+
+
+def test_hermite_power_integral_checks_the_degree():
+    for m in (-1, MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match="degree"):
+            hermite_power_integral(m, 2.0, 50.0)
+
 
 def test_hermite_power_m0_gaussian():
     for alpha in (10.0, 300.0):

@@ -1,13 +1,17 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entrofun import coeffs as cf
-from entrofun.series import Series, laplace_terms, series_log, series_pow
-from series_reference import (identity, laplace_sum, saddle_series,
-                              series_compose, series_div, series_exp,
-                              series_revert)
+from entrofun.series import (Series, _double_factorial_odd, laplace_terms,
+                             series_log, series_pow)
+from series_reference import (identity, laplace_sum, ref_double_factorial_odd,
+                              ref_log, ref_mul, ref_pow, ref_truncate,
+                              saddle_series, series_compose, series_div,
+                              series_exp, series_revert)
 
 
 def coeffs_close(s: Series, expect, tol=1e-12):
@@ -313,3 +317,71 @@ def test_laplace_sum_second_moment():
 def test_laplace_terms_order_guard():
     with pytest.raises(ValueError):
         laplace_terms(Series((1.0, 0.0)), 10.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against their reference loops, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(s: Series) -> tuple[bytes, ...]:
+    """The coefficients' IEEE bit patterns, so that -0.0 differs from 0.0."""
+    return tuple(struct.pack("<d", c) for c in s.coeffs)
+
+
+def _seeded_series(rng: random.Random, order: int, positive: bool) -> Series:
+    """Coefficients spread over several decades, about a quarter of the
+    non-constant ones exactly zero (and some of those -0.0)."""
+    c = []
+    for k in range(order + 1):
+        if k > 0 and rng.random() < 0.25:
+            c.append(rng.choice((0.0, -0.0)))
+        else:
+            c.append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8.0, 4.0))
+    if positive:
+        c[0] = rng.uniform(0.05, 20.0)
+    elif rng.random() < 0.3:
+        c[0] = 0.0
+    return Series(tuple(c))
+
+
+def _seeded_pairs():
+    rng = random.Random("series kernels")
+    for order in range(31):
+        for _ in range(3):
+            yield (_seeded_series(rng, order, False),
+                   _seeded_series(rng, rng.randint(0, 30), False))
+
+
+def test_mul_is_bitwise_the_reference_loop():
+    for a, b in _seeded_pairs():
+        assert _bits(a * b) == _bits(ref_mul(a, b))
+        assert _bits(b * a) == _bits(ref_mul(b, a))
+        for scalar in (3, -0.75, 0.0):
+            assert _bits(a * scalar) == _bits(ref_mul(a, scalar))
+            assert _bits(scalar * a) == _bits(ref_mul(a, scalar))
+
+
+_RHOS = (-7.3, -2.0, -1.0, -0.5, 0.0, 1.0 / 3.0, 0.5, 2.0, 2.7, 11.25)
+
+
+def test_pow_and_log_are_bitwise_the_reference_loops():
+    rng = random.Random("series transcendentals")
+    for order in range(31):
+        for _ in range(3):
+            a = _seeded_series(rng, order, True)
+            assert _bits(series_log(a)) == _bits(ref_log(a))
+            for rho in _RHOS:
+                assert _bits(series_pow(a, rho)) == _bits(ref_pow(a, rho))
+
+
+def test_truncate_is_bitwise_the_reference():
+    for a, _ in _seeded_pairs():
+        for order in range(a.order + 3):
+            assert _bits(a.truncate(order)) == _bits(ref_truncate(a, order))
+
+
+def test_double_factorial_is_the_reference_loop():
+    # the second pass reads the memo
+    for _ in range(2):
+        for k in range(60):
+            assert _double_factorial_odd(k) == ref_double_factorial_odd(k)
