@@ -414,7 +414,11 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
     if _no_expansion(F):
         q = oracle.integrate_functional(F, tol_rel)
         return ExpansionResult(q.value, (1.0,), 1, "oracle_only", tol_rel, q)
-    res = _EVALUATORS[F.kind](F, K)
+    try:
+        res = _EVALUATORS[F.kind](F, K)
+    except OverflowError as exc:
+        raise OverflowError(f"the expansion overflows double precision at "
+                            f"alpha = {F.alpha!r}, m = {F.m}: {exc}") from None
     return res if tol_rel == TOL_REL else replace(res, tol_rel=tol_rel)
 
 

@@ -20,6 +20,18 @@ zeros delimit them.  From mu = 2 on the Laguerre weight is taken relative
 to its peak, so the O(mu log mu) peak constant is folded into the scale
 once instead of rounded at every node.
 
+Only the window where the integrand can reach the tolerance is integrated.
+Each segment's mass is bounded by its width times the sup of the weight
+(log-concave or monotone, so at its peak clamped into the segment) times
+the sup of |p|^kappa or p^2 |log p^2|, with |p| = |lead| prod_j |x - z_j|
+over all m zeros, each factor at the segment end farther from z_j.  The
+longest prefix and suffix of segments whose bounds stay below e^-28 TOL_MIN
+of an estimate of the integral are dropped, and their bound joins the tail
+that the certificate adds to the error, so a poor estimate can only fail
+the certificate.  Before the zeros are solved for, the window is trimmed
+knowing only the Gershgorin range that holds them; a window clear of that
+range holds no zero, and the solve is skipped.
+
 Each segment stores the running sum of every level it has evaluated, so
 refinement never evaluates a level twice, and the missing levels of all
 unsettled segments are evaluated together, in batched calls of the
@@ -27,7 +39,8 @@ integrand: the first pass asks for levels 0 to 3 of every segment at once,
 since none can settle before its level 3 exists.  The batches run with
 numpy's floating-point warnings off, and the first one that holds a
 non-finite value ends the integral with a ``QuadratureError`` that names
-alpha and m.
+alpha and m, as does every other failure, a zero solve or a segment bound
+that overflows double precision included.
 
 The Hermite power integral needs the zeros of H_m and a bound on its
 coefficients; both depend on m alone, so they are computed once per degree,
@@ -45,13 +58,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functional import Functional
 from .logvalue import LogValue
-from .orthopoly import (MAX_DEGREE, _check_degree, _laguerre_zero_floor,
+from .orthopoly import (MAX_DEGREE, _check_degree, _gegenbauer_zero_radius,
+                        _laguerre_zero_ceiling, _laguerre_zero_floor,
                         gegenbauer_value, hermite_value, hermite_zeros,
                         laguerre_value, polynomial_zeros)
 
@@ -68,6 +83,11 @@ _BATCH_NODES = 24986
 # the segment is split (chosen by the scan recorded in CHANGES.md)
 _PEAK_STEPS = (-3.0, 0.0, 3.0)
 _PEAK_CLEARANCE = 6.0
+# the mass the segments dropped from either end of the domain may hold
+# together, relative to an estimate of the integral, and the probes of that
+# estimate in standard deviations of the weight (chosen in CHANGES.md)
+_DROP_LOG = math.log(TOL_MIN) - 28.0
+_PROBE_STEPS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 class QuadratureError(RuntimeError):
@@ -267,8 +287,9 @@ def _lag_segments_and_scale(F: Functional):
     Like ``_geg_segments_and_scale`` it returns the segment bounds, the log
     scale, the scaled integrand ``integrand(x, lo, hi, dist_lo, dist_hi)``
     (per-node arrays: the nodes, the bounds of each node's segment and the
-    node's exact distances to them), and the absolute tail truncated off
-    the last segment, in units of the scale."""
+    node's exact distances to them), and the absolute tail left out of the
+    segments, in units of the scale: the mass beyond the last segment's
+    window end and the bound on the segments ``_window`` dropped."""
     m, alpha, lam, kappa = F.m, F.alpha, F.lam, F.kappa
     mu = alpha + F.sigma if F.mu is None else F.mu
     # the polynomial's size at the weight's peak x_p is ~ (alpha |1 - x_p /
@@ -296,19 +317,28 @@ def _lag_segments_and_scale(F: Functional):
 
     while tail_log(x_hi) > log_target:
         x_hi *= 1.4
-    zeros = []
-    # no zero lies below the floor, so a window under it needs no solve
-    if m >= 1 and x_hi >= _laguerre_zero_floor(m, alpha):
-        zeros = [z for z in polynomial_zeros("laguerre", m, alpha).roots
-                 if z < x_hi]
-    bounds = [0.0] + zeros + [x_hi]
+
+    # x^(mu-1) e^(-lam x) is log-concave for mu >= 1 and decreasing below,
+    # so on any segment it peaks at x_p clamped into the segment; its mean
+    # and standard deviation are mu / lam and sqrt(mu) / lam
+    env = _Envelope(lambda x: (mu - 1.0) * np.log(x) - lam * x, x_p,
+                    -math.lgamma(m + 1.0), kappa, F.kind.is_shannon,
+                    math.lgamma(mu) - mu * math.log(lam),
+                    _probes(mu / lam, math.sqrt(mu) / lam, 0.0, x_hi), m)
+    split = None
+    if mu >= 2.0:
+        split = (x_p, math.sqrt(mu - 1.0) / lam)
+    zero_range = None
+    if m >= 1:
+        zero_range = (_laguerre_zero_floor(m, alpha), _laguerre_zero_ceiling(m, alpha))
+    bounds, log_dropped = _window(env, 0.0, x_hi, split, zero_range,
+                                  lambda: polynomial_zeros("laguerre", m, alpha).roots)
 
     if mu >= 2.0:
         # the weight relative to its peak, (mu - 1) log1p(delta / x_p)
         # - lam delta with delta = x - x_p, so no per-node sum carries the
         # O(mu log mu) peak constant; a node where delta rounds to -x_p
         # holds at most eps^(mu - 1) of the peak weight
-        bounds = _split_at_peak(bounds, x_p, math.sqrt(mu - 1.0) / lam)
         shift = (mu - 1.0) * math.log(x_p) - lam * x_p - log_pref
 
         def log_weight(x):
@@ -325,7 +355,8 @@ def _lag_segments_and_scale(F: Functional):
         return _integrand_values(log_weight(x) + kappa * logp, logp,
                                  F.kind.is_shannon)
 
-    tail = math.exp(min(tail_log(x_hi) - log_pref, 0.0))
+    tail = (math.exp(min(tail_log(x_hi) - log_pref, 0.0))
+            + _exp_or_inf(log_dropped - log_pref))
     return bounds, log_pref, integrand, tail
 
 
@@ -347,21 +378,166 @@ def _split_at_peak(bounds, peak: float, width: float):
     return bounds[:i + 1] + [peak + k * width for k in _PEAK_STEPS] + bounds[i + 1:]
 
 
+# ---------------------------------------------------------------------------
+# the window: segments that can reach the tolerance
+# ---------------------------------------------------------------------------
+
+def _probes(mean: float, sd: float, start: float, end: float):
+    """The points the integral's size is estimated from: the weight's mean
+    and ``_PROBE_STEPS`` standard deviations either side, kept in the
+    domain."""
+    return np.array([min(max(mean + k * sd, start), end) for k in _PROBE_STEPS])
+
+
+def _exp_or_inf(log_x: float) -> float:
+    """exp(log_x), infinite where it overflows."""
+    return math.exp(log_x) if log_x < 709.0 else math.inf
+
+
+@dataclass(frozen=True)
+class _Envelope:
+    """Upper bounds on the mass of the integrand w(x) phi(|p(x)|) over each
+    segment, phi(t) = t^kappa, or t^2 |log t^2| for the Shannon kinds, all in
+    log space and without evaluating the polynomial.
+
+    ``log_weight`` is log w, unscaled; w is log-concave or monotone, so its
+    sup on [lo, hi] sits at ``peak`` clamped into [lo, hi].  |p(x)| is
+    |lead| prod_j |x - z_j| over all m zeros, and each zero z_j is known to
+    lie in an interval [z_lo_j, z_hi_j]: a point when it was solved for, the
+    Gershgorin range of all zeros when it was not.  ``log_mass`` is the log
+    of the weight's integral and ``probes`` are points in its bulk."""
+
+    log_weight: Callable
+    peak: float
+    log_lead: float
+    kappa: float
+    shannon: bool
+    log_mass: float
+    probes: np.ndarray
+    degree: int
+
+    def _log_phi(self, log_t, sup: bool):
+        """log phi(t) from log t, or with ``sup`` log of the sup of phi over
+        [0, t]: for Shannon u |log u| at u = t^2 rises to 1/e at u = 1/e,
+        falls to 0 at u = 1 and rises again, past 1/e at u ~ 1.76."""
+        if not self.shannon:
+            return self.kappa * log_t
+        # u below e^-700 counts as e^-700, where u |log u| increases
+        log_u = np.maximum(2.0 * log_t, -700.0)
+        if not sup:
+            return log_u + np.log(np.abs(log_u))
+        return np.where(log_u <= -1.0, log_u + np.log(-log_u),
+                        np.fmax(-1.0, log_u + np.log(log_u)))
+
+    def log_budget(self, z_lo, z_hi) -> float:
+        """log of the mass the dropped segments may hold: e^-28 TOL_MIN of
+        an estimate of the integral, the weight's mass times the largest
+        phi(|p|) at the probes, each |p| from the zeros' distances (a lower
+        bound where a zero is known by its range only)."""
+        x = self.probes[:, None]
+        gap = np.maximum(np.maximum(z_lo - x, x - z_hi), 0.0)
+        log_t = self.log_lead + np.log(gap).sum(axis=1)
+        return self.log_mass + float(self._log_phi(log_t, False).max()) + _DROP_LOG
+
+    def log_masses(self, bounds, z_lo, z_hi):
+        """log of (hi - lo) sup w sup phi(|p|) on each segment [lo, hi];
+        on it |x - z_j| is at most max(hi, z_hi_j) - min(lo, z_lo_j)."""
+        lo, hi = bounds[:-1], bounds[1:]
+        span = np.maximum(hi[:, None], z_hi) - np.minimum(lo[:, None], z_lo)
+        log_t = self.log_lead + np.log(span).sum(axis=1)
+        at_peak = np.minimum(np.maximum(lo, self.peak), hi)
+        return (np.log(hi - lo) + self.log_weight(at_peak)
+                + self._log_phi(log_t, True))
+
+
+def _trim(env: _Envelope, bounds, z_lo, z_hi):
+    """``bounds`` without the longest prefix and the longest suffix of
+    segments whose mass bounds each sum to at most half the budget, and the
+    log of the dropped bound.  At least one segment stays; a bound that is
+    not a number keeps its segment and every segment inside it."""
+    n = len(bounds) - 1
+    if n == 1:
+        return bounds, -math.inf
+    log_half = env.log_budget(z_lo, z_hi) - math.log(2.0)
+    log_masses = env.log_masses(np.array(bounds), z_lo, z_hi)
+    # each bound in units of half the budget, capped above 1 so it cannot overflow
+    r = np.exp(np.minimum(log_masses - log_half, 2.0))
+    k = min(int(np.count_nonzero(r.cumsum() <= 1.0)), n - 1)
+    j = int(np.count_nonzero(r[:k:-1].cumsum() <= 1.0))
+    if k + j == 0:
+        return bounds, -math.inf
+    # the dropped bound's log, summed in log space so none of it underflows
+    dropped = np.concatenate((log_masses[:k], log_masses[n - j:]))
+    top = dropped.max()
+    return bounds[k:n + 1 - j], float(top + np.log(np.exp(dropped - top).sum()))
+
+
+def _window(env: _Envelope, start: float, end: float, split, zero_range, solve):
+    """The bounds of the segments of [start, end] that can reach the
+    tolerance, and the log of the bound on the mass dropped.
+
+    Every segment is split at the peak when ``split`` = (peak, width) asks
+    for it.  With m >= 1 the zeros lie in ``zero_range``.  Unless the
+    weight peaks inside that range, the window is first trimmed with only
+    the range known, cut at its ends, and the zeros are solved for (by
+    ``solve``) only when the trimmed window reaches into the range: a window
+    clear of it holds no zero, so |p| is smooth on it.  Otherwise the zeros
+    inside [start, end] delimit the segments."""
+    def cut(bounds):
+        return bounds if split is None else _split_at_peak(bounds, *split)
+
+    # a bound that double precision cannot hold comes out as inf or nan,
+    # which keeps its segment
+    with np.errstate(all="ignore"):
+        if zero_range is None:
+            none = np.empty(0)
+            return _trim(env, cut([start, end]), none, none)
+        lo_z, hi_z = zero_range
+        if not lo_z < min(max(env.peak, start), end) < hi_z:
+            coarse = cut([start, *sorted({v for v in zero_range if start < v < end}), end])
+            m = env.degree
+            bounds, log_dropped = _trim(env, coarse, np.full(m, lo_z), np.full(m, hi_z))
+            if bounds[-1] <= lo_z or bounds[0] >= hi_z:
+                return bounds, log_dropped
+        zeros = solve()
+        z = np.array(zeros)
+        return _trim(env, cut([start, *(v for v in zeros if v < end), end]), z, z)
+
+
 def _geg_segments_and_scale(F: Functional):
     m, alpha, a, b, c, d, kappa = F.m, F.alpha, F.a, F.b, F.c, F.d, F.kappa
     A, B = c * alpha + a, d * alpha + b
     if A <= -1.0 or B <= -1.0:
         raise ValueError("Gegenbauer weight exponents must exceed -1 for an "
                          "integrable weight")
-    zeros = []
-    if m >= 1:
-        zeros = list(polynomial_zeros("gegenbauer", m, alpha).roots)
-    bounds = [-1.0] + zeros + [1.0]
+    log_dropped = -math.inf
     if A > 0.0 and B > 0.0:
-        # the weight (1 - x)^A (1 + x)^B peaks at x_w, where its log has
-        # curvature -(A / (1 - x_w)^2 + B / (1 + x_w)^2) = -1 / width^2
+        # the weight (1 - x)^A (1 + x)^B is log-concave and peaks at x_w,
+        # where its log has curvature -(A / (1 - x_w)^2 + B / (1 + x_w)^2)
+        # = -1 / width^2; its mean is (B - A) / (A + B + 2), its standard
+        # deviation sd below and its mass 2^(A + B + 1) Gamma(A + 1)
+        # Gamma(B + 1) / Gamma(A + B + 2); C_m^(alpha) leads with
+        # 2^m (alpha)_m / m!
+        x_w = (B - A) / (A + B)
         width = 2.0 * math.sqrt(A * B / (A + B) ** 3)
-        bounds = _split_at_peak(bounds, (B - A) / (A + B), width)
+        sd = 2.0 * math.sqrt((A + 1.0) * (B + 1.0) / (A + B + 3.0)) / (A + B + 2.0)
+        log_lead = (m * math.log(2.0) - math.lgamma(m + 1.0)
+                    + math.fsum(math.log(alpha + k) for k in range(m)))
+        log_mass = ((A + B + 1.0) * math.log(2.0) + math.lgamma(A + 1.0)
+                    + math.lgamma(B + 1.0) - math.lgamma(A + B + 2.0))
+        env = _Envelope(lambda x: A * np.log1p(-x) + B * np.log1p(x), x_w,
+                        log_lead, kappa, F.kind.is_shannon, log_mass,
+                        _probes((B - A) / (A + B + 2.0), sd, -1.0, 1.0), m)
+        zero_range = None
+        if m >= 1:
+            radius = _gegenbauer_zero_radius(m, alpha)
+            zero_range = (-radius, radius)
+        bounds, log_dropped = _window(
+            env, -1.0, 1.0, (x_w, width), zero_range,
+            lambda: polynomial_zeros("gegenbauer", m, alpha).roots)
+    else:
+        zeros = polynomial_zeros("gegenbauer", m, alpha).roots if m >= 1 else ()
+        bounds = [-1.0, *zeros, 1.0]
 
     def log_core(x, one_minus_x, one_plus_x):
         p = gegenbauer_value(m, alpha, x)
@@ -382,7 +558,7 @@ def _geg_segments_and_scale(F: Functional):
         core, logp = log_core(x, (1.0 - hi) + dist_hi, (1.0 + lo) + dist_lo)
         return _integrand_values(core - log_pref, logp, F.kind.is_shannon)
 
-    return bounds, log_pref, integrand, 0.0
+    return bounds, log_pref, integrand, _exp_or_inf(log_dropped - log_pref)
 
 
 def _quadrature(bounds, log_pref: float, integrand, tail: float,
@@ -393,7 +569,7 @@ def _quadrature(bounds, log_pref: float, integrand, tail: float,
 
     ``signed`` allows a negative total (Shannon integrands change sign);
     ``may_vanish`` accepts an exactly zero total as the value zero.
-    ``where`` names the inputs in the message of a non-finite integrand.
+    ``where`` names the inputs in the message of every failure.
     The integrand runs with numpy's floating-point warnings off: a value
     they would warn of ends the integral as a ``QuadratureError``.
     """
@@ -408,17 +584,17 @@ def _quadrature(bounds, log_pref: float, integrand, tail: float,
     if not (math.isfinite(total) and math.isfinite(err)):
         raise QuadratureError(
             f"non-finite estimate {total} with error {err} after {n_evals} "
-            "evaluations")
+            f"evaluations{where}")
     if total == 0.0:
         if may_vanish:
             return QuadResult(LogValue.zero(), -math.inf, n_evals, segments)
-        raise QuadratureError("integral estimate vanished")
+        raise QuadratureError(f"integral estimate vanished{where}")
     if err > tol_rel * abs(total):
         raise QuadratureError(
             f"could not certify tolerance {tol_rel}: estimate {total} with "
-            f"error {err} after {n_evals} evaluations")
+            f"error {err} after {n_evals} evaluations{where}")
     if not signed and total < 0.0:
-        raise QuadratureError("negative estimate for a nonnegative integrand")
+        raise QuadratureError(f"negative estimate for a nonnegative integrand{where}")
     value = LogValue(1 if total > 0 else -1, math.log(abs(total)) + log_pref)
     abs_err_log = (math.log(err) + log_pref) if err > 0.0 else -math.inf
     return QuadResult(value, abs_err_log, n_evals, segments)
@@ -437,9 +613,17 @@ def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
     """Evaluate the integral described by ``F`` to relative tolerance."""
     _check_tol(tol_rel)
     build = _geg_segments_and_scale if F.kind.is_gegenbauer else _lag_segments_and_scale
-    return _quadrature(*build(F), tol_rel, signed=F.kind.is_shannon,
-                       may_vanish=F.kind.is_shannon and F.m == 0,
-                       where=f" at alpha = {F.alpha!r}, m = {F.m}")
+    where = f" at alpha = {F.alpha!r}, m = {F.m}"
+    try:
+        parts = build(F)
+    except RuntimeError as exc:
+        # the zero solve: its Jacobi matrix overflows or its certificate fails
+        raise QuadratureError(f"{exc}{where}") from None
+    except OverflowError:
+        raise QuadratureError(f"the segment bounds overflow double precision"
+                              f"{where}") from None
+    return _quadrature(*parts, tol_rel, signed=F.kind.is_shannon,
+                       may_vanish=F.kind.is_shannon and F.m == 0, where=where)
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE + 1)

@@ -17,11 +17,14 @@ midpoints to the neighbouring eigenvalues, bring every zero to within
 rounding of the polynomial's own values.  A step takes f / f' from the pair
 (p_m, p_(m-1)) of one recurrence, through the family's derivative identity.
 The result is certified by a sign change of the polynomial between
-consecutive zeros.
+consecutive zeros; a failed certificate, or a Jacobi matrix whose entries
+overflow double precision, raises ``RuntimeError``.  The matrix's Gershgorin
+discs bound the zeros without a solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +167,25 @@ def _jacobi_roots(diag, off, f, ratio) -> tuple[float, ...]:
 def _laguerre_jacobi(m: int, alpha: float):
     """Diagonal and off-diagonal of the Jacobi matrix of L_m^(alpha)."""
     k = np.arange(1, m, dtype=float)
-    return 2.0 * np.arange(m) + alpha + 1.0, np.sqrt(k * (k + alpha))
+    with np.errstate(over="ignore"):
+        prod = k * (k + alpha)
+    _check_finite(prod, "laguerre", m)
+    return 2.0 * np.arange(m) + alpha + 1.0, np.sqrt(prod)
+
+
+def _gegenbauer_jacobi(m: int, alpha: float):
+    """Diagonal and off-diagonal of the Jacobi matrix of C_m^(alpha)."""
+    k = np.arange(1, m, dtype=float)
+    with np.errstate(over="ignore"):
+        den = 4.0 * (k + alpha) * ((k - 1.0) + alpha)
+    _check_finite(den, "gegenbauer", m)
+    return np.zeros(m), np.sqrt(k * ((k - 1.0) + 2.0 * alpha) / den)
+
+
+def _check_finite(entries, family: str, m: int) -> None:
+    if not np.all(np.isfinite(entries)):
+        raise RuntimeError(f"the {family} Jacobi matrix of degree {m} "
+                           f"overflows double precision")
 
 
 def _laguerre_zero_floor(m: int, alpha: float) -> float:
@@ -180,6 +201,32 @@ def _laguerre_zero_floor(m: int, alpha: float) -> float:
     edge = float(np.min(diag - np.concatenate(([0.0], off))
                         - np.concatenate((off, [0.0]))))
     return edge - 1e-9 * abs(edge)
+
+
+def _laguerre_zero_ceiling(m: int, alpha: float) -> float:
+    """An upper bound on every zero of L_m^(alpha), m >= 1.
+
+    Both the diagonal 2 i + alpha + 1 and the off-diagonal sqrt(k (k +
+    alpha)) grow along the Jacobi matrix, so every Gershgorin disc ends
+    below the last diagonal entry plus twice the last off-diagonal one.
+    The bound is raised by 1e-9 of its size, like the floor.
+    """
+    _check_degree(m)
+    edge = 2.0 * m + alpha - 1.0 + 2.0 * math.sqrt((m - 1.0) * (m - 1.0 + alpha))
+    return edge + 1e-9 * abs(edge)
+
+
+def _gegenbauer_zero_radius(m: int, alpha: float) -> float:
+    """A bound on |z| over the zeros z of C_m^(alpha), m >= 1.
+
+    The Jacobi matrix has a zero diagonal, so every Gershgorin disc lies
+    within twice the largest off-diagonal entry of 0; the bound is raised
+    by 1e-9 of its size, like the Laguerre floor.
+    """
+    _check_degree(m)
+    off = _gegenbauer_jacobi(m, alpha)[1]
+    edge = 2.0 * float(off.max()) if m >= 2 else 0.0
+    return edge + 1e-9 * edge
 
 
 def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
@@ -204,10 +251,7 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
             # the lower end of the supported range: 1 + alpha rounds to 1
             raise ValueError(f"gegenbauer zeros require 1 + alpha > 1 in "
                              f"double precision, got alpha = {alpha!r}")
-        k = np.arange(1, m, dtype=float)
-        diag = np.zeros(m)
-        off = np.sqrt(k * ((k - 1.0) + 2.0 * alpha)
-                      / (4.0 * (k + alpha) * ((k - 1.0) + alpha)))
+        diag, off = _gegenbauer_jacobi(m, alpha)
         f = lambda x: gegenbauer_value(m, alpha, x)
 
         def ratio(x):

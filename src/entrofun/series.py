@@ -102,10 +102,13 @@ def series_log(a: Series) -> Series:
     n = len(c) - 1
     out = [0.0] * (n + 1)
     out[0] = math.log(c[0])
-    for k in range(1, n + 1):
-        acc = k * c[k]
-        acc -= math.fsum([j * out[j] * c[k - j] for j in range(1, k)])
-        out[k] = acc / (k * c[0])
+    try:
+        for k in range(1, n + 1):
+            acc = k * c[k]
+            acc -= math.fsum([j * out[j] * c[k - j] for j in range(1, k)])
+            out[k] = acc / (k * c[0])
+    except ValueError:
+        raise _overflow() from None
     return Series(tuple(out))
 
 
@@ -118,11 +121,20 @@ def series_pow(a: Series, rho: float) -> Series:
     rho1 = rho + 1.0
     out = [0.0] * (n + 1)
     out[0] = c[0] ** rho
-    for k in range(1, n + 1):
-        acc = math.fsum([(rho1 * j - k) * c[j] * out[k - j]
-                         for j in range(1, k + 1)])
-        out[k] = acc / (k * c[0])
+    try:
+        for k in range(1, n + 1):
+            acc = math.fsum([(rho1 * j - k) * c[j] * out[k - j]
+                             for j in range(1, k + 1)])
+            out[k] = acc / (k * c[0])
+    except ValueError:
+        raise _overflow() from None
     return Series(tuple(out))
+
+
+def _overflow() -> OverflowError:
+    # fsum raises ValueError on inf - inf, which only products that
+    # overflowed can produce
+    return OverflowError("series coefficients overflow double precision")
 
 
 # room for every k whose value is finite: (2k-1)!! overflows from k = 151

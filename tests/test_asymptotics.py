@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,19 @@ def test_evaluate_asymptotic_validates_tol(F, tol):
 def test_evaluate_asymptotic_validates_K(F, K):
     with pytest.raises(ValueError, match=rf"K must lie in \[0, {K_MAX}\], got {K}"):
         evaluate_asymptotic(F, K)
+
+
+@pytest.mark.parametrize("F", [
+    Functional.lag_renyi(2, 1e300, 2.5, 1.0, 2.0),
+    Functional.lag_shannon(2, 1e300, 2.5, 1.5),
+    Functional.lag_renyi(20, 1e200, 2.5, 1.0, 2.0),
+    Functional.geg_renyi(2, 1e300, 0.0, 0.0, 1.0, 3.0, 2.0),
+    Functional.ext_renyi(2, 1e300, 1.0, 2.0, 2.0),
+], ids=["lag_renyi", "lag_shannon", "lag_renyi_m20", "geg_renyi", "ext_renyi"])
+def test_overflow_names_alpha_and_m(F):
+    where = re.escape(f"alpha = {F.alpha!r}, m = {F.m}")
+    with pytest.raises(OverflowError, match=f"overflows double precision at {where}"):
+        evaluate_asymptotic(F)
 
 
 @pytest.mark.parametrize("F", [

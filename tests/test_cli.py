@@ -421,6 +421,33 @@ def test_oracle_overflow_is_one_json_error(capsys):
     assert "alpha = 1e+300, m = 2" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "i3", "--m", "2", "--a", "0", "--b", "0", "--c", "1", "--d", "3",
+     "--kappa", "2"),
+    ("--kind", "i5", "--m", "2", "--sigma", "1", "--lambda", "2", "--kappa", "2"),
+], ids=["i3", "i5"])
+def test_huge_alpha_oracle_is_one_json_error(capsys, argv):
+    # the Gegenbauer segment bounds and the extended integrand overflow;
+    # each ends as one JSON error, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "eval", *argv, "--alpha", "1e300",
+                                 "--method", "oracle")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "QuadratureError"
+    assert "alpha = 1e+300, m = 2" in doc["error"]
+
+
+def test_asym_overflow_names_alpha_and_m(capsys):
+    code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "1e300",
+                             "--method", "asym")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "OverflowError"
+    assert "overflows double precision at alpha = 1e+300, m = 2" in doc["error"]
+
+
 def test_sweep_spec_validation():
     from entrofun.cli import SweepSpec
     from entrofun.functional import Functional

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,7 +74,9 @@ def test_refinement_consistency():
 
 
 def test_segments_cover_domain_and_roots():
-    # the peak split adds bounds but never drops a zero
+    # the kept segments are contiguous, lie in the domain and hold the
+    # weight's peak, and every zero inside their window is one of their
+    # bounds: the peak split adds bounds but never drops a zero
     cases = [
         (Functional.lag_shannon(4, 30.0, 2.0, 1.0), "laguerre", 0.0),
         (Functional.geg_renyi(3, 1e4, -0.5, 4.5, 1.0, 3.0, 2.0), "gegenbauer", -1.0),
@@ -81,13 +84,24 @@ def test_segments_cover_domain_and_roots():
     ]
     for F, family, start in cases:
         segs = integrate_functional(F, 1e-10).segments
-        assert segs[0][0] == start
+        assert segs[0][0] >= start
+        assert segs[0][0] <= _peak_and_width(F)[0] <= segs[-1][1]
         for i in range(len(segs) - 1):
             assert segs[i][1] == segs[i + 1][0]
         boundaries = {b for seg in segs for b in seg}
         for root in polynomial_zeros(family, F.m, F.alpha).roots:
-            if root < segs[-1][1]:
+            if segs[0][0] < root < segs[-1][1]:
                 assert root in boundaries
+
+
+def _keep_every_segment(env, bounds, z_lo, z_hi):
+    return bounds, -math.inf
+
+
+def _untrimmed_bounds(F):
+    """The bounds before the window drops any segment."""
+    with mock.patch.object(oracle, "_trim", _keep_every_segment):
+        return _bounds(F)
 
 
 def _zero_bounds(F):
@@ -97,7 +111,7 @@ def _zero_bounds(F):
     zeros = polynomial_zeros(family, F.m, F.alpha).roots if F.m else ()
     if F.kind.is_gegenbauer:
         return [-1.0, *zeros, 1.0]
-    x_hi = _bounds(F)[-1]
+    x_hi = _untrimmed_bounds(F)[-1]
     return [0.0, *(z for z in zeros if z < x_hi)]
 
 
@@ -115,6 +129,12 @@ def _bounds(F):
     return oracle._lag_segments_and_scale(F)[0]
 
 
+def _is_run(part, whole):
+    """Whether ``part`` is a contiguous run of ``whole``."""
+    i = whole.index(part[0]) if part[0] in whole else -1
+    return i >= 0 and whole[i:i + len(part)] == part
+
+
 @pytest.mark.parametrize("F", [
     Functional.geg_renyi(2, 1000.0, -0.5, 1.0, 1.0, 3.0, 2.0),
     Functional.geg_shannon(8, 2e4, 0.3, -0.2, 2.5, 0.9),
@@ -127,42 +147,52 @@ def _bounds(F):
 def test_peak_is_a_bound_off_symmetry(F):
     # away from c = d and lam = 1 the weight peaks O(1) (in units of alpha)
     # from the zero cluster; its segment is split at the peak and at fixed
-    # multiples of the peak width either side
+    # multiples of the peak width either side, and the window keeps all
+    # four; inside the window the bounds are the untrimmed ones
     peak, width = _peak_and_width(F)
-    bounds = _bounds(F)
+    bounds, full = _bounds(F), _untrimmed_bounds(F)
     added = [peak + k * width for k in oracle._PEAK_STEPS]
-    assert peak in bounds
-    assert sorted(_zero_bounds(F) + added) == (bounds if F.kind.is_gegenbauer
-                                               else bounds[:-1])
+    assert sorted(_zero_bounds(F) + added) == (full if F.kind.is_gegenbauer
+                                               else full[:-1])
+    assert set(added) <= set(bounds)
+    assert bounds[1:-1] == [b for b in full if bounds[0] < b < bounds[-1]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 20])
 @pytest.mark.parametrize("alpha", [200.0, 1e4])
 def test_symmetric_inputs_keep_the_zero_bounds(m, alpha):
     # for c = d and lam = 1 the peak lies within a few widths of a zero, so
-    # the bounds stay the zero-delimited ones; at alpha = 1e4, where the
-    # zeros crowd within O(alpha^-1/2) of their centre, the asymmetric input
-    # of the same m gains the peak's breakpoints
+    # the bounds stay the zero-delimited ones, and the window keeps a run of
+    # them; at alpha = 1e4, where the zeros crowd within O(alpha^-1/2) of
+    # their centre, the asymmetric input of the same m gains the peak's
+    # breakpoints, and its window keeps them
     added = len(oracle._PEAK_STEPS)
     for c, a, b in [(0.5, -0.5, 1.5), (1.0, 0.0, 0.0), (3.0, 1.5, -0.5)]:
         F = Functional.geg_shannon(m, alpha, a, b, c, c)
-        assert _bounds(F) == _zero_bounds(F)
+        assert _untrimmed_bounds(F) == _zero_bounds(F)
+        assert _is_run(_bounds(F), _zero_bounds(F))
         F = Functional.geg_shannon(m, alpha, a, b, c, 3.0 * c)
         if alpha >= 1e4:
-            assert len(_bounds(F)) == len(_zero_bounds(F)) + added
+            assert len(_untrimmed_bounds(F)) == len(_zero_bounds(F)) + added
+            peak, width = _peak_and_width(F)
+            assert {peak + k * width for k in oracle._PEAK_STEPS} <= set(_bounds(F))
     for sigma in (0.5, 3.0):
         F = Functional.ext_renyi(m, alpha, sigma, 1.0, 1.7)
-        assert _bounds(F)[:-1] == _zero_bounds(F)
+        assert _untrimmed_bounds(F)[:-1] == _zero_bounds(F)
+        assert _is_run(_bounds(F), _untrimmed_bounds(F))
         F = Functional.ext_renyi(m, alpha, sigma, 2.0, 1.7)
         if alpha >= 1e4:
-            assert len(_bounds(F)) == len(_zero_bounds(F)) + 1 + added
+            assert len(_untrimmed_bounds(F)) == len(_zero_bounds(F)) + 1 + added
+            peak, width = _peak_and_width(F)
+            assert {peak + k * width for k in oracle._PEAK_STEPS} <= set(_bounds(F))
 
 
 def test_peak_on_the_end_of_the_domain_splits_nothing():
     # A = 1.1e-16 against B = 3e4 rounds the weight's peak onto x = 1
     F = Functional.geg_renyi(2, 1.0, -(1.0 - 2.0 ** -53), 0.0, 1.0, 3e4, 2.0)
     assert _peak_and_width(F)[0] == 1.0
-    assert _bounds(F) == _zero_bounds(F)
+    assert _untrimmed_bounds(F) == _zero_bounds(F)
+    assert _is_run(_bounds(F), _zero_bounds(F))
     assert oracle._split_at_peak([0.0, 0.5, 2.0], 2.0, 1e-3) == [0.0, 0.5, 2.0]
 
 
@@ -649,8 +679,153 @@ def test_laguerre_window_below_the_zeros_still_checks_the_degree(monkeypatch, ma
         integrate_functional(make(MAX_DEGREE + 1))
 
 
+# ---------------------------------------------------------------------------
+# The window: segments that cannot reach the tolerance are dropped
+# ---------------------------------------------------------------------------
+
+_WINDOW_CASES = {
+    "lag_renyi": lambda m, a: Functional.lag_renyi(m, a, 2.5, 1.3, 1.7),
+    "lag_shannon": lambda m, a: Functional.lag_shannon(m, a, 2.5, 0.8),
+    "geg_renyi": lambda m, a: Functional.geg_renyi(m, a, 0.2, 1.3, 1.0, 2.0, 1.7),
+    "geg_shannon": lambda m, a: Functional.geg_shannon(m, a, -0.5, -0.5, 1.0, 3.0),
+    "ext_renyi": lambda m, a: Functional.ext_renyi(m, a, 1.5, 2.0, 2.5),
+    "ext_shannon": lambda m, a: Functional.ext_shannon(m, a, 1.0, 0.7),
+}
+
+
+def _outcome(F, tol):
+    try:
+        return integrate_functional(F, tol)
+    except QuadratureError:
+        return None
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("alpha", [50.0, 1e3, 2e4])
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 60])
+@pytest.mark.parametrize("kind", sorted(_WINDOW_CASES))
+def test_window_matches_the_untrimmed_segments(kind, m, alpha, tol):
+    # dropping the segments that cannot reach the tolerance keeps the
+    # certification outcome and moves the value by at most the tolerance
+    # or the rounding of log|I|
+    F = _WINDOW_CASES[kind](m, alpha)
+    new = _outcome(F, tol)
+    with mock.patch.object(oracle, "_trim", _keep_every_segment):
+        ref = _outcome(F, tol)
+    assert (new is None) == (ref is None)
+    if new is not None and not ref.value.is_zero:
+        assert new.value.sign == ref.value.sign
+        assert abs(new.value.log_abs - ref.value.log_abs) <= max(
+            tol, _log_floor(ref.value.log_abs))
+        assert len(new.segments) <= len(ref.segments)
+
+
+def _dropped_mass(F):
+    """(log of the dropped segments' integral of |integrand|, log of the
+    bound the window reports for them, log of the tail the segment
+    function reports), from the untrimmed bounds outside the kept window, split at
+    the kept window's ends."""
+    windows = []
+    window = oracle._window
+
+    def recording(*args):
+        windows.append(window(*args))
+        return windows[-1]
+    with mock.patch.object(oracle, "_window", recording):
+        bounds, log_pref, integrand, tail = (
+            oracle._geg_segments_and_scale(F) if F.kind.is_gegenbauer
+            else oracle._lag_segments_and_scale(F))
+    full = _untrimmed_bounds(F)
+    lo, hi = bounds[0], bounds[-1]
+    regions = [[b for b in full if b < lo] + [lo], [hi] + [b for b in full if b > hi]]
+    total = 0.0
+    for region in regions:
+        if len(region) > 1:
+            total += oracle._refine_segments(
+                lambda *a: np.abs(integrand(*a)), region, 1e-8)[0]
+    log_total = math.log(total) + log_pref if total > 0.0 else -math.inf
+    log_tail = math.log(tail) + log_pref if tail > 0.0 else -math.inf
+    return log_total, windows[0][1], log_tail
+
+
+@pytest.mark.parametrize("alpha", [50.0, 200.0, 1e3])
+@pytest.mark.parametrize("m", [1, 5, 20])
+@pytest.mark.parametrize("kind", sorted(_WINDOW_CASES))
+def test_dropped_segments_hold_less_than_their_bound(kind, m, alpha):
+    # the dropped prefix and suffix, integrated, hold at most the bound the
+    # window reports for them, and the reported tail carries that bound
+    log_total, log_bound, log_tail = _dropped_mass(_WINDOW_CASES[kind](m, alpha))
+    assert log_total <= log_bound + 1e-9
+    assert log_bound <= log_tail + 1e-9
+
+
+def test_dropped_segments_are_integrated_where_they_hold_mass():
+    # the cases above drop segments whose integral is still a number, so
+    # the comparison is not between two empty sums
+    for kind in ("lag_shannon", "geg_shannon", "ext_renyi"):
+        log_total, log_bound, _ = _dropped_mass(_WINDOW_CASES[kind](20, 200.0))
+        assert -math.inf < log_total <= log_bound
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_renyi(5, 2000.0, -0.5, 4.5, 1.0, 3.0, 2.0),
+    Functional.geg_shannon(20, 1e4, 0.3, -0.2, 2.5, 0.9),
+    Functional.ext_renyi(8, 2000.0, 1.0, 2.0, 2.0),
+    Functional.ext_shannon(3, 5000.0, 1.5, 0.5),
+], ids=["geg_renyi", "geg_shannon", "ext_renyi_lam2", "ext_shannon_lam05"])
+def test_window_clear_of_the_zeros_skips_the_zero_solve(F):
+    # the weight peaks O(alpha^-1/2) widths away from the zero cluster, so
+    # the window trimmed with only the zeros' range holds no zero
+    ref = integrate_functional(F, 1e-12)
+
+    def no_solve(*args):
+        raise AssertionError("polynomial_zeros called")
+    with mock.patch.object(oracle, "polynomial_zeros", no_solve):
+        q = integrate_functional(F, 1e-12)
+    assert q.value.sign == ref.value.sign
+    assert q.value.log_abs == ref.value.log_abs and q.segments == ref.segments
+    with mock.patch.object(oracle, "_trim", _keep_every_segment):
+        full = integrate_functional(F, 1e-12)
+    assert abs(q.value.log_abs - full.value.log_abs) <= max(
+        1e-12, _log_floor(full.value.log_abs))
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_renyi(5, 2000.0, -0.5, -0.5, 1.0, 1.0, 2.0),
+    Functional.geg_shannon(20, 1e4, 0.3, 0.3, 2.5, 2.5),
+    Functional.ext_renyi(8, 2000.0, 1.0, 1.0, 2.0),
+    Functional.lag_shannon(8, 2000.0, 2001.0, 1.0),
+], ids=["geg_renyi_c_eq_d", "geg_shannon_c_eq_d", "ext_renyi_lam1", "lag_mu_alpha"])
+def test_window_inside_the_zeros_still_solves(F):
+    # for c = d and lam = 1 the weight peaks among the zeros
+    def no_solve(*args):
+        raise AssertionError("polynomial_zeros called")
+    with mock.patch.object(oracle, "polynomial_zeros", no_solve):
+        with pytest.raises(AssertionError, match="polynomial_zeros called"):
+            integrate_functional(F, 1e-12)
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_renyi(2, 1e300, 0.0, 0.0, 1.0, 3.0, 2.0),
+    Functional.geg_shannon(3, 1e300, 0.0, 0.0, 1.0, 1.0),
+    Functional.ext_renyi(2, 1e300, 1.0, 2.0, 2.0),
+    Functional.ext_renyi(2, 1e300, 1.0, 1.0, 2.0),
+    Functional.ext_shannon(4, 1e300, 1.0, 0.5),
+], ids=["geg_renyi", "geg_shannon", "ext_renyi_lam2", "ext_renyi_lam1", "ext_shannon"])
+def test_huge_alpha_raises_quadrature_error_without_warnings(F):
+    # the peak width, the Jacobi matrix, the zero certificate or the
+    # integrand overflows: each ends as a QuadratureError that names alpha
+    # and m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match=rf"alpha = 1e\+300, m = {F.m}"):
+            integrate_functional(F)
+
+
 @pytest.mark.parametrize("name,F", [
-    ("laguerre_value", Functional.lag_shannon(60, 300.0, 2.5, 0.8)),
+    # mu = alpha + 1 puts the weight's peak among the zeros, so the window
+    # keeps many segments (at mu = 2.5 and lam = 0.8 it keeps one)
+    ("laguerre_value", Functional.lag_shannon(60, 300.0, 301.0, 1.0)),
     ("gegenbauer_value", Functional.geg_shannon(60, 300.0, -0.5, -0.5, 1.0, 3.0)),
     ("laguerre_value", Functional.ext_renyi(60, 300.0, 1.5, 2.0, 2.5)),
 ])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from entrofun.orthopoly import (_check_degree, _gegenbauer_pair, _hermite_pair,
-                                _jacobi_roots, _laguerre_pair, _laguerre_zero_floor,
+                                _gegenbauer_zero_radius, _jacobi_roots, _laguerre_pair,
+                                _laguerre_zero_ceiling, _laguerre_zero_floor,
                                 gegenbauer_value, hermite_value, hermite_zeros,
                                 laguerre_value, polynomial_zeros)
 
@@ -454,3 +456,33 @@ def test_laguerre_zero_floor_is_tight_at_degree_one():
     for alpha in (0.0, 7.0, 1e4):
         floor = _laguerre_zero_floor(1, alpha)
         assert floor < alpha + 1.0 and floor >= (alpha + 1.0) * (1.0 - 2e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
+def test_laguerre_zero_ceiling_lies_above_every_zero(alpha):
+    for m in range(1, 61):
+        ceiling = _laguerre_zero_ceiling(m, alpha)
+        assert ceiling > polynomial_zeros("laguerre", m, alpha).roots[-1]
+    assert alpha + 1.0 < _laguerre_zero_ceiling(1, alpha) <= (alpha + 1.0) * (1.0 + 2e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
+def test_gegenbauer_zero_radius_bounds_every_zero(alpha):
+    for m in range(1, 61):
+        radius = _gegenbauer_zero_radius(m, alpha)
+        assert max(abs(z) for z in polynomial_zeros("gegenbauer", m, alpha).roots) <= radius
+    assert _gegenbauer_zero_radius(1, alpha) == 0.0
+
+
+@pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
+def test_overflowing_jacobi_matrix_raises(family):
+    # k (k + alpha) overflows from alpha ~ 1.8e308 / k, and the Gegenbauer
+    # denominator 4 (k + alpha) (k - 1 + alpha) from alpha ~ 1e154
+    alpha = 1.7e308 if family == "laguerre" else 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="Jacobi matrix of degree 3 overflows"):
+            polynomial_zeros(family, 3, alpha)
+        if family == "gegenbauer":
+            with pytest.raises(RuntimeError, match="overflows"):
+                _gegenbauer_zero_radius(3, alpha)

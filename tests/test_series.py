@@ -103,6 +103,13 @@ def test_log_example():
                  [0.0, 1.0, -0.5, 1 / 3])
 
 
+@pytest.mark.parametrize("transcend", [series_log, lambda a: series_pow(a, 2.0)])
+def test_transcend_reports_overflow(transcend):
+    # products past the double range meet as inf - inf inside fsum
+    with pytest.raises(OverflowError, match="series coefficients overflow"):
+        transcend(Series((1.0, 1e160, 1e160, -1e300, 1e300)))
+
+
 def test_transcend_rejects_nonpositive_constant():
     with pytest.raises(ValueError):
         series_log(Series((0.0, 1.0)))
