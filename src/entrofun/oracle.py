@@ -5,20 +5,18 @@ Each integral is split into segments delimited by the zeros of the
 polynomial (where |p|^kappa has integrable kinks and p^2 log p^2 has
 removable singularities) and integrated per segment with a tanh-sinh
 (double-exponential) rule under progressive step halving (Takahasi and
-Mori, Publ. RIMS 9, 1974).  Two builders give the segments, scale and
-integrand: one for the Gegenbauer weight, and one for the Laguerre weight
-x^(mu-1) e^(-lam x), which serves the extended kinds at mu = alpha + sigma.
-At large alpha the Gegenbauer and extended Laguerre weights are narrow about
-their peak, the point the saddle-point expansions expand about; the
-Laguerre weight peaks at x_p = (mu-1)/lam with width sqrt(mu-1)/lam.  When
-the peak lies more than 6 widths from both ends of its segment, as it does
-at large alpha for c != d and for extended inputs with lam != 1, that one
-segment is split at the peak and at 3 widths either side, so no narrow peak
-sits inside a wide segment.  For c = d and lam = 1 the peak lies among the
-zeros, whose segments are already that narrow, and the bounds stay as the
-zeros delimit them.  From mu = 2 on the Laguerre weight is taken relative
-to its peak, so the O(mu log mu) peak constant is folded into the scale
-once instead of rounded at every node.
+Mori, Publ. RIMS 9, 1974).  Each family gives a model of its weight and
+polynomial (the Laguerre weight x^(mu-1) e^(-lam x) serves the extended
+kinds at mu = alpha + sigma, the Gaussian e^(-t^2) the Hermite integral)
+and its node-level log weight; one builder does the rest for all three.
+
+At large alpha a weight is narrow about its peak, the point the
+saddle-point expansions expand about.  When the peak lies more than 6
+widths from both ends of its segment, that segment is split at the peak
+and 3 widths either side; for c = d and lam = 1 the peak lies among the
+zeros, whose segments are already that narrow.  From mu = 2 on the
+Laguerre nodes take the weight relative to its peak, so the O(mu log mu)
+peak constant is rounded once instead of at every node.
 
 Only the window where the integrand can reach the tolerance is integrated.
 Each segment's mass is bounded by its width times the sup of the weight
@@ -30,7 +28,14 @@ of an estimate of the integral are dropped, and their bound joins the tail
 that the certificate adds to the error, so a poor estimate can only fail
 the certificate.  Before the zeros are solved for, the window is trimmed
 knowing only the Gershgorin range that holds them; a window clear of that
-range holds no zero, and the solve is skipped.
+range holds no zero, and the solve is skipped.  An unbounded end lies where
+the same envelope, with every zero within R of 0, bounds the mass beyond it.
+
+All floating-point work happens after dividing the integrand by a log-space
+scale near its peak, so magnitudes stay near unity even where the true
+values overflow doubles.  The scale is closed-form: the largest log w +
+kappa log(|lead| |x - zbar|^m) over a few probes of the weight's and the
+integrand's bulk, zbar the zeros' exact mean; no polynomial is evaluated.
 
 Each segment stores the running sum of every level it has evaluated, so
 refinement never evaluates a level twice, and the missing levels of all
@@ -40,17 +45,8 @@ since none can settle before its level 3 exists.  The batches run with
 numpy's floating-point warnings off, and the first one that holds a
 non-finite value ends the integral with a ``QuadratureError`` that names
 alpha and m, as does every other failure, a zero solve or a segment bound
-that overflows double precision included.
-
-The Hermite power integral needs the zeros of H_m and a bound on its
-coefficients; both depend on m alone, so they are computed once per degree,
-on first use.
-
-All floating-point work happens after dividing the integrand by a log-space
-scale close to its peak, so magnitudes stay near unity even where the true
-values overflow doubles.  The Laguerre scale takes the polynomial's size at
-x_p as the larger of (alpha |1 - x_p/alpha|)^m / m! and (alpha/2)^(m/2) / m!,
-so it stays finite where x_p meets alpha (lam -> 1 for the extended kinds).
+that overflows double precision included.  The zeros of H_m depend on m
+alone and are computed once per degree, on first use.
 """
 
 from __future__ import annotations
@@ -88,6 +84,8 @@ _PEAK_CLEARANCE = 6.0
 # estimate in standard deviations of the weight (chosen in CHANGES.md)
 _DROP_LOG = math.log(TOL_MIN) - 28.0
 _PROBE_STEPS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+# the scale's probes about the weight's peak, in units of its width
+_PEAK_PROBES = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 
 class QuadratureError(RuntimeError):
@@ -251,114 +249,8 @@ def _refine_segments(integrand, bounds, tol_rel: float):
 
 
 # ---------------------------------------------------------------------------
-# family-specific scaled integrands
+# the weight model: one builder of segments, scale and tail for every family
 # ---------------------------------------------------------------------------
-
-def _log_abs_poly(p):
-    out = np.full(p.shape, -np.inf)
-    nz = p != 0.0
-    out[nz] = np.log(np.abs(p[nz]))
-    return out
-
-
-def _integrand_values(core, logp, shannon: bool):
-    """exp(core) for a power integrand |p|^kappa; for a Shannon integrand
-    also the p^2 log p^2 factor 2 log|p|, which takes its limit 0 at the
-    zeros of p."""
-    if shannon:
-        vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
-        return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
-    return np.exp(core)
-
-
-def _laguerre_coeff_bound_log(m: int, alpha: float) -> float:
-    """log of the sum of absolute Taylor coefficients of L_m^(alpha)."""
-    terms = [math.lgamma(alpha + m + 1.0) - math.lgamma(alpha + k + 1.0)
-             - math.lgamma(m - k + 1.0) - math.lgamma(k + 1.0)
-             for k in range(m + 1)]
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-
-def _lag_segments_and_scale(F: Functional):
-    """Laguerre families: weight x^(mu-1) e^(-lam x), with mu = alpha + sigma
-    for the extended kinds.
-
-    Like ``_geg_segments_and_scale`` it returns the segment bounds, the log
-    scale, the scaled integrand ``integrand(x, lo, hi, dist_lo, dist_hi)``
-    (per-node arrays: the nodes, the bounds of each node's segment and the
-    node's exact distances to them), and the absolute tail left out of the
-    segments, in units of the scale: the mass beyond the last segment's
-    window end and the bound on the segments ``_window`` dropped."""
-    m, alpha, lam, kappa = F.m, F.alpha, F.lam, F.kappa
-    mu = alpha + F.sigma if F.mu is None else F.mu
-    # the polynomial's size at the weight's peak x_p is ~ (alpha |1 - x_p /
-    # alpha|)^m / m! away from x_p = alpha and ~ (alpha / 2)^(m/2) / m! at
-    # it: the larger of the two keeps the scale finite as the peak meets
-    # alpha (lam -> 1 for the extended kinds)
-    x_p = (mu - 1.0) / lam
-    poly_scale = 0.5 * m * math.log(alpha / 2.0)
-    gap = abs(1.0 - x_p / alpha)
-    if gap > 0.0:
-        poly_scale = max(poly_scale, m * math.log(alpha * gap))
-    log_pref = (math.lgamma(mu) - mu * math.log(lam)
-                + kappa * (poly_scale - math.lgamma(m + 1.0)))
-    b_log = _laguerre_coeff_bound_log(m, alpha)
-    s_exp = mu + kappa * m
-    x_hi = max(2.0 * (s_exp + 4.0) / lam, 10.0 / lam)
-    log_target = math.log(TOL_MIN) + log_pref - 8.0
-
-    def tail_log(x):
-        extra = 0.0
-        if F.kind.is_shannon:
-            extra = math.log(2.0 * (b_log + m * math.log(max(x, 2.0))) + 10.0)
-        return (kappa * b_log + math.log(2.0) + (s_exp - 1.0) * math.log(lam * x)
-                - lam * x - s_exp * math.log(lam) + extra)
-
-    while tail_log(x_hi) > log_target:
-        x_hi *= 1.4
-
-    # x^(mu-1) e^(-lam x) is log-concave for mu >= 1 and decreasing below,
-    # so on any segment it peaks at x_p clamped into the segment; its mean
-    # and standard deviation are mu / lam and sqrt(mu) / lam
-    env = _Envelope(lambda x: (mu - 1.0) * np.log(x) - lam * x, x_p,
-                    -math.lgamma(m + 1.0), kappa, F.kind.is_shannon,
-                    math.lgamma(mu) - mu * math.log(lam),
-                    _probes(mu / lam, math.sqrt(mu) / lam, 0.0, x_hi), m)
-    split = None
-    if mu >= 2.0:
-        split = (x_p, math.sqrt(mu - 1.0) / lam)
-    zero_range = None
-    if m >= 1:
-        zero_range = (_laguerre_zero_floor(m, alpha), _laguerre_zero_ceiling(m, alpha))
-    bounds, log_dropped = _window(env, 0.0, x_hi, split, zero_range,
-                                  lambda: polynomial_zeros("laguerre", m, alpha).roots)
-
-    if mu >= 2.0:
-        # the weight relative to its peak, (mu - 1) log1p(delta / x_p)
-        # - lam delta with delta = x - x_p, so no per-node sum carries the
-        # O(mu log mu) peak constant; a node where delta rounds to -x_p
-        # holds at most eps^(mu - 1) of the peak weight
-        shift = (mu - 1.0) * math.log(x_p) - lam * x_p - log_pref
-
-        def log_weight(x):
-            delta = x - x_p
-            with np.errstate(divide="ignore"):
-                return (mu - 1.0) * np.log1p(delta / x_p) - lam * delta + shift
-    else:
-        def log_weight(x):
-            return (mu - 1.0) * np.log(x) - lam * x - log_pref
-
-    def integrand(x, lo, hi, dist_lo, dist_hi):
-        p = laguerre_value(m, alpha, x)
-        logp = _log_abs_poly(p)
-        return _integrand_values(log_weight(x) + kappa * logp, logp,
-                                 F.kind.is_shannon)
-
-    tail = (math.exp(min(tail_log(x_hi) - log_pref, 0.0))
-            + _exp_or_inf(log_dropped - log_pref))
-    return bounds, log_pref, integrand, tail
-
 
 def _split_at_peak(bounds, peak: float, width: float):
     """``bounds`` with breakpoints at ``peak + k * width``, k in
@@ -378,43 +270,42 @@ def _split_at_peak(bounds, peak: float, width: float):
     return bounds[:i + 1] + [peak + k * width for k in _PEAK_STEPS] + bounds[i + 1:]
 
 
-# ---------------------------------------------------------------------------
-# the window: segments that can reach the tolerance
-# ---------------------------------------------------------------------------
-
-def _probes(mean: float, sd: float, start: float, end: float):
-    """The points the integral's size is estimated from: the weight's mean
-    and ``_PROBE_STEPS`` standard deviations either side, kept in the
-    domain."""
-    return np.array([min(max(mean + k * sd, start), end) for k in _PROBE_STEPS])
-
-
-def _exp_or_inf(log_x: float) -> float:
-    """exp(log_x), infinite where it overflows."""
-    return math.exp(log_x) if log_x < 709.0 else math.inf
-
-
 @dataclass(frozen=True)
 class _Envelope:
-    """Upper bounds on the mass of the integrand w(x) phi(|p(x)|) over each
-    segment, phi(t) = t^kappa, or t^2 |log t^2| for the Shannon kinds, all in
-    log space and without evaluating the polynomial.
+    """A model of one integral's weight w and polynomial p, and bounds on
+    the mass of its integrand w phi(|p|), phi(t) = t^kappa, or t^2 |log t^2|
+    for the Shannon kinds, in log space and without evaluating p.
 
-    ``log_weight`` is log w, unscaled; w is log-concave or monotone, so its
-    sup on [lo, hi] sits at ``peak`` clamped into [lo, hi].  |p(x)| is
-    |lead| prod_j |x - z_j| over all m zeros, and each zero z_j is known to
-    lie in an interval [z_lo_j, z_hi_j]: a point when it was solved for, the
-    Gershgorin range of all zeros when it was not.  ``log_mass`` is the log
-    of the weight's integral and ``probes`` are points in its bulk."""
+    ``log_weight`` is log w and ``log_mass`` the log of its integral;
+    ``log_top`` is what the family's node-level log weight is taken less
+    of.  w is log-concave or monotone, so its sup on [lo, hi] sits at
+    ``peak`` clamped into [lo, hi]; a weight that is neither has no peak
+    and is not windowed.  The peak splits its segment when ``width`` is
+    set.  |p(x)| is |lead| prod_j |x - z_j| over all m = ``degree`` zeros,
+    which lie in ``zero_range`` (None for m = 0), and in [-hi, hi] on an
+    unbounded domain, average to ``centroid`` and are solved for by
+    ``solve``.  On an unbounded end ``far`` is the peak and sd of
+    w |x|^(kappa m), and ``slope(x)`` an s, nonincreasing in x, with
+    w(y) <= w(x) e^(s (y - x)) for every y >= x."""
 
     log_weight: Callable
-    peak: float
+    log_top: float
+    peak: float | None
+    width: float | None
+    log_mass: float
+    mean: float
+    sd: float
     log_lead: float
+    degree: int
     kappa: float
     shannon: bool
-    log_mass: float
-    probes: np.ndarray
-    degree: int
+    zero_range: tuple[float, float] | None
+    centroid: float
+    solve: Callable
+    start: float
+    end: float
+    far: tuple[float, float] | None = None
+    slope: Callable | None = None
 
     def _log_phi(self, log_t, sup: bool):
         """log phi(t) from log t, or with ``sup`` log of the sup of phi over
@@ -429,12 +320,35 @@ class _Envelope:
         return np.where(log_u <= -1.0, log_u + np.log(-log_u),
                         np.fmax(-1.0, log_u + np.log(log_u)))
 
-    def log_budget(self, z_lo, z_hi) -> float:
+    def log_scale(self) -> float:
+        """The integrand's log scale: the largest finite
+        log w + kappa (log|lead| + m log|x - centroid|) over the weight's
+        mean and ``_PROBE_STEPS`` sds either side, its peak (and
+        ``_PEAK_PROBES`` widths either side), and on an unbounded domain the
+        peak of w |x|^(kappa m) and ``_PROBE_STEPS`` of its sds either side,
+        all kept in the domain.  No polynomial is evaluated; the centroid is
+        exact, solved zeros or not."""
+        xs = [self.mean + k * self.sd for k in _PROBE_STEPS]
+        if self.peak is not None:
+            xs += [self.peak + k * (self.width or 0.0) for k in _PEAK_PROBES]
+        if self.far is not None:
+            xs += [self.far[0] + k * self.far[1] for k in _PROBE_STEPS]
+        x = np.clip(xs, self.start, self.end)
+        with np.errstate(all="ignore"):
+            dist = np.log(np.abs(x - self.centroid)) if self.degree else 0.0
+            core = self.log_weight(x) + self.kappa * (self.log_lead + self.degree * dist)
+        finite = core[np.isfinite(core)]
+        if not finite.size:
+            raise QuadratureError("no finite scale")
+        return float(finite.max())
+
+    def log_budget(self, start, end, z_lo, z_hi) -> float:
         """log of the mass the dropped segments may hold: e^-28 TOL_MIN of
         an estimate of the integral, the weight's mass times the largest
-        phi(|p|) at the probes, each |p| from the zeros' distances (a lower
-        bound where a zero is known by its range only)."""
-        x = self.probes[:, None]
+        phi(|p|) at its mean and ``_PROBE_STEPS`` sds either side, kept in
+        [start, end], each |p| from the zeros' distances (a lower bound
+        where a zero is known by its range only)."""
+        x = np.clip([self.mean + k * self.sd for k in _PROBE_STEPS], start, end)[:, None]
         gap = np.maximum(np.maximum(z_lo - x, x - z_hi), 0.0)
         log_t = self.log_lead + np.log(gap).sum(axis=1)
         return self.log_mass + float(self._log_phi(log_t, False).max()) + _DROP_LOG
@@ -449,6 +363,21 @@ class _Envelope:
         return (np.log(hi - lo) + self.log_weight(at_peak)
                 + self._log_phi(log_t, True))
 
+    def log_tail(self, x: float) -> float:
+        """log of a bound on the integrand's mass beyond x > 0 on an
+        unbounded end, or inf where the bound does not hold yet: there
+        |p(y)| <= T(y) = |lead| (y + R)^m, R the top of the zero range, and
+        log sup phi(T(y)) grows at most kappa m / (y + R), or 3 m / (y + R)
+        for Shannon once T > e, so with s that rate plus ``slope(x)`` the
+        mass is at most the bound at x over |s| once s < 0."""
+        m = self.degree
+        r = self.zero_range[1] if m else 0.0
+        log_t = self.log_lead + m * math.log(x + r)
+        s = self.slope(x) + (3.0 if self.shannon else self.kappa) * m / (x + r)
+        if not s < 0.0 or (self.shannon and m and log_t < 1.0):
+            return math.inf
+        return float(self.log_weight(x) + self._log_phi(log_t, True)) - math.log(-s)
+
 
 def _trim(env: _Envelope, bounds, z_lo, z_hi):
     """``bounds`` without the longest prefix and the longest suffix of
@@ -458,7 +387,7 @@ def _trim(env: _Envelope, bounds, z_lo, z_hi):
     n = len(bounds) - 1
     if n == 1:
         return bounds, -math.inf
-    log_half = env.log_budget(z_lo, z_hi) - math.log(2.0)
+    log_half = env.log_budget(bounds[0], bounds[-1], z_lo, z_hi) - math.log(2.0)
     log_masses = env.log_masses(np.array(bounds), z_lo, z_hi)
     # each bound in units of half the budget, capped above 1 so it cannot overflow
     r = np.exp(np.minimum(log_masses - log_half, 2.0))
@@ -472,93 +401,189 @@ def _trim(env: _Envelope, bounds, z_lo, z_hi):
     return bounds[k:n + 1 - j], float(top + np.log(np.exp(dropped - top).sum()))
 
 
-def _window(env: _Envelope, start: float, end: float, split, zero_range, solve):
+def _window(env: _Envelope, start: float, end: float):
     """The bounds of the segments of [start, end] that can reach the
     tolerance, and the log of the bound on the mass dropped.
 
-    Every segment is split at the peak when ``split`` = (peak, width) asks
-    for it.  With m >= 1 the zeros lie in ``zero_range``.  Unless the
-    weight peaks inside that range, the window is first trimmed with only
-    the range known, cut at its ends, and the zeros are solved for (by
-    ``solve``) only when the trimmed window reaches into the range: a window
-    clear of it holds no zero, so |p| is smooth on it.  Otherwise the zeros
-    inside [start, end] delimit the segments."""
+    Every segment is split at the peak when the model gives a width.  With
+    m >= 1 the zeros lie in the model's zero range.  Unless the weight
+    peaks inside that range, the window is first trimmed with only the
+    range known, cut at its ends, and the zeros are solved for only when
+    the trimmed window reaches into the range: a window clear of it holds
+    no zero, so |p| is smooth on it.  Otherwise the zeros inside
+    [start, end] delimit the segments; a weight with no peak keeps them all."""
+    if env.peak is None:
+        return [start, *(env.solve() if env.zero_range else ()), end], -math.inf
+
     def cut(bounds):
-        return bounds if split is None else _split_at_peak(bounds, *split)
+        return bounds if env.width is None else _split_at_peak(bounds, env.peak, env.width)
 
     # a bound that double precision cannot hold comes out as inf or nan,
     # which keeps its segment
     with np.errstate(all="ignore"):
-        if zero_range is None:
+        if env.zero_range is None:
             none = np.empty(0)
             return _trim(env, cut([start, end]), none, none)
-        lo_z, hi_z = zero_range
+        lo_z, hi_z = env.zero_range
         if not lo_z < min(max(env.peak, start), end) < hi_z:
-            coarse = cut([start, *sorted({v for v in zero_range if start < v < end}), end])
+            coarse = cut([start, *sorted({v for v in env.zero_range if start < v < end}), end])
             m = env.degree
             bounds, log_dropped = _trim(env, coarse, np.full(m, lo_z), np.full(m, hi_z))
             if bounds[-1] <= lo_z or bounds[0] >= hi_z:
                 return bounds, log_dropped
-        zeros = solve()
+        zeros = env.solve()
         z = np.array(zeros)
-        return _trim(env, cut([start, *(v for v in zeros if v < end), end]), z, z)
+        return _trim(env, cut([start, *(v for v in zeros if start < v < end), end]), z, z)
 
 
-def _geg_segments_and_scale(F: Functional):
-    m, alpha, a, b, c, d, kappa = F.m, F.alpha, F.a, F.b, F.c, F.d, F.kappa
-    A, B = c * alpha + a, d * alpha + b
+def _build(env: _Envelope, log_w: Callable, value: Callable):
+    """The segment bounds, the log scale, the scaled integrand
+    ``integrand(x, lo, hi, dist_lo, dist_hi)`` (per-node arrays: the nodes,
+    the bounds of each node's segment and the node's exact distances to
+    them) and the tail left out of the segments, in units of the scale, of
+    the integral of exp(log_w) phi(|value|) over the model's domain.
+
+    An unbounded end grows by 1.4 until the mass beyond it is below
+    e^(-8 - kappa m) TOL_MIN of the scale; an unbounded start mirrors the
+    end (the one such weight, Hermite's, is even, and so is its bound on
+    |p|).  The tail is that mass plus the bound the window dropped."""
+    start, end = env.start, env.end
+    with np.errstate(all="ignore"):
+        log_pref = env.log_scale()
+        log_tail = -math.inf
+        if end == math.inf:
+            # the scale can exceed |I| by about kappa m log 2 where the
+            # weight's bulk lies among the zeros (the centroid's distance
+            # against the zeros' product), so the target is lowered by kappa m
+            end = max(env.mean + 2.0 * env.sd, env.far[0] + 2.0 * env.far[1])
+            log_target = math.log(TOL_MIN) - 8.0 - env.kappa * env.degree + log_pref
+            while not (log_tail := env.log_tail(end)) <= log_target:
+                end *= 1.4
+                if not end < math.inf:
+                    raise OverflowError("the domain end overflows")
+            if start == -math.inf:
+                start, log_tail = -end, log_tail + math.log(2.0)
+    bounds, log_dropped = _window(env, start, end)
+    kappa, shannon, shift = env.kappa, env.shannon, env.log_top - log_pref
+
+    def integrand(x, lo, hi, dist_lo, dist_hi):
+        p = value(x)
+        logp = np.full(p.shape, -np.inf)
+        nz = p != 0.0
+        logp[nz] = np.log(np.abs(p[nz]))
+        core = log_w(x, lo, hi, dist_lo, dist_hi) + kappa * logp + shift
+        if not shannon:
+            return np.exp(core)
+        # the p^2 log p^2 factor 2 log|p| takes its limit 0 at the zeros of p
+        vals = np.exp(np.where(np.isfinite(core), core, -np.inf))
+        return vals * np.where(np.isfinite(logp), 2.0 * logp, 0.0)
+
+    # a tail past e^709 of the scale cannot be certified: cap it there
+    tail = math.exp(min(float(np.logaddexp(log_tail, log_dropped)) - log_pref, 709.0))
+    return bounds, log_pref, integrand, tail
+
+
+# ---------------------------------------------------------------------------
+# the weight models
+# ---------------------------------------------------------------------------
+
+def _laguerre_model(F: Functional):
+    """Laguerre families: weight x^(mu-1) e^(-lam x) on [0, inf), with
+    mu = alpha + sigma for the extended kinds; |L_m^(alpha)| leads with
+    1/m! and its zeros average to alpha + m."""
+    m, alpha, lam, kappa = F.m, F.alpha, F.lam, F.kappa
+    mu = alpha + F.sigma if F.mu is None else F.mu
+    x_p = (mu - 1.0) / lam
+
+    def log_weight(x, *_):
+        return (mu - 1.0) * np.log(x) - lam * x
+
+    log_w, log_top, width = log_weight, 0.0, None
+    if mu >= 2.0:
+        # the nodes take the weight relative to its peak, (mu - 1)
+        # log1p(delta / x_p) - lam delta with delta = x - x_p, so no
+        # per-node sum carries the O(mu log mu) peak constant; a node where
+        # delta rounds to -x_p holds at most eps^(mu - 1) of the peak weight
+        log_top, width = (mu - 1.0) * math.log(x_p) - lam * x_p, math.sqrt(mu - 1.0) / lam
+
+        def log_w(x, *_):
+            delta = x - x_p
+            with np.errstate(divide="ignore"):
+                return (mu - 1.0) * np.log1p(delta / x_p) - lam * delta
+    # x^(mu-1) e^(-lam x) is log-concave for mu >= 1 and decreasing below,
+    # so on any segment it peaks at x_p clamped into the segment; its mean
+    # and standard deviation are mu / lam and sqrt(mu) / lam, and those of
+    # w x^(kappa m) sit at s / lam and sqrt(s) / lam, s = mu - 1 + kappa m
+    s = max(mu - 1.0 + kappa * m, 0.0)
+    env = _Envelope(
+        log_weight=log_weight, log_top=log_top, peak=x_p, width=width,
+        log_mass=math.lgamma(mu) - mu * math.log(lam), mean=mu / lam, sd=math.sqrt(mu) / lam,
+        log_lead=-math.lgamma(m + 1.0), degree=m, kappa=kappa, shannon=F.kind.is_shannon,
+        zero_range=((_laguerre_zero_floor(m, alpha), _laguerre_zero_ceiling(m, alpha))
+                    if m else None),
+        centroid=alpha + m, solve=lambda: polynomial_zeros("laguerre", m, alpha).roots,
+        start=0.0, end=math.inf, far=(s / lam, math.sqrt(s) / lam),
+        slope=lambda x: max(mu - 1.0, 0.0) / x - lam)
+    return env, log_w, lambda x: laguerre_value(m, alpha, x)
+
+
+def _gegenbauer_model(F: Functional):
+    """Gegenbauer families: weight (1 - x)^A (1 + x)^B on [-1, 1], A = c alpha
+    + a, B = d alpha + b; C_m^(alpha) leads with 2^m (alpha)_m / m! and its
+    zeros average to 0."""
+    m, alpha, kappa = F.m, F.alpha, F.kappa
+    A, B = F.c * alpha + F.a, F.d * alpha + F.b
     if A <= -1.0 or B <= -1.0:
         raise ValueError("Gegenbauer weight exponents must exceed -1 for an "
                          "integrable weight")
-    log_dropped = -math.inf
+    S, r = A + B, _gegenbauer_zero_radius(m, alpha) if m else None
+    peak = width = None
     if A > 0.0 and B > 0.0:
-        # the weight (1 - x)^A (1 + x)^B is log-concave and peaks at x_w,
-        # where its log has curvature -(A / (1 - x_w)^2 + B / (1 + x_w)^2)
-        # = -1 / width^2; its mean is (B - A) / (A + B + 2), its standard
-        # deviation sd below and its mass 2^(A + B + 1) Gamma(A + 1)
-        # Gamma(B + 1) / Gamma(A + B + 2); C_m^(alpha) leads with
-        # 2^m (alpha)_m / m!
-        x_w = (B - A) / (A + B)
-        width = 2.0 * math.sqrt(A * B / (A + B) ** 3)
-        sd = 2.0 * math.sqrt((A + 1.0) * (B + 1.0) / (A + B + 3.0)) / (A + B + 2.0)
-        log_lead = (m * math.log(2.0) - math.lgamma(m + 1.0)
-                    + math.fsum(math.log(alpha + k) for k in range(m)))
-        log_mass = ((A + B + 1.0) * math.log(2.0) + math.lgamma(A + 1.0)
-                    + math.lgamma(B + 1.0) - math.lgamma(A + B + 2.0))
-        env = _Envelope(lambda x: A * np.log1p(-x) + B * np.log1p(x), x_w,
-                        log_lead, kappa, F.kind.is_shannon, log_mass,
-                        _probes((B - A) / (A + B + 2.0), sd, -1.0, 1.0), m)
-        zero_range = None
-        if m >= 1:
-            radius = _gegenbauer_zero_radius(m, alpha)
-            zero_range = (-radius, radius)
-        bounds, log_dropped = _window(
-            env, -1.0, 1.0, (x_w, width), zero_range,
-            lambda: polynomial_zeros("gegenbauer", m, alpha).roots)
-    else:
-        zeros = polynomial_zeros("gegenbauer", m, alpha).roots if m >= 1 else ()
-        bounds = [-1.0, *zeros, 1.0]
+        # log-concave, peaking at (B - A) / (A + B), where its log has
+        # curvature -(A / (1 - x)^2 + B / (1 + x)^2) = -1 / width^2; each
+        # width and sd is taken from ratios, which cannot overflow
+        peak = (B - A) / S
+        width = 2.0 * math.sqrt(A / S) * math.sqrt(B / S) / math.sqrt(S)
+    # otherwise neither log-concave nor bounded: the whole domain is kept
+    env = _Envelope(
+        log_weight=lambda x: A * np.log1p(-x) + B * np.log1p(x), log_top=0.0, peak=peak,
+        width=width, log_mass=((S + 1.0) * math.log(2.0) + math.lgamma(A + 1.0)
+                               + math.lgamma(B + 1.0) - math.lgamma(S + 2.0)),
+        mean=(B - A) / (S + 2.0),
+        sd=(2.0 * math.sqrt((A + 1.0) / (S + 2.0)) * math.sqrt((B + 1.0) / (S + 2.0))
+            / math.sqrt(S + 3.0)),
+        log_lead=(m * math.log(2.0) - math.lgamma(m + 1.0)
+                  + math.fsum(math.log(alpha + k) for k in range(m))),
+        degree=m, kappa=kappa, shannon=F.kind.is_shannon, zero_range=(-r, r) if m else None,
+        centroid=0.0, solve=lambda: polynomial_zeros("gegenbauer", m, alpha).roots,
+        start=-1.0, end=1.0)
 
-    def log_core(x, one_minus_x, one_plus_x):
-        p = gegenbauer_value(m, alpha, x)
-        logp = _log_abs_poly(p)
-        return ((c * alpha + a) * np.log(one_minus_x)
-                + (d * alpha + b) * np.log(one_plus_x)
-                + kappa * logp), logp
-
-    # probe for the scale in log space at 15 interior points of each segment
-    edges = np.array(bounds)
-    xs = np.linspace(edges[:-1], edges[1:], 17, axis=1)[:, 1:-1].ravel()
-    core, _ = log_core(xs, 1.0 - xs, 1.0 + xs)
-    log_pref = float(np.max(core))
-
-    def integrand(x, lo, hi, dist_lo, dist_hi):
+    def log_w(x, lo, hi, dist_lo, dist_hi):
         # 1 - hi and 1 + lo are the exact distances from the segment's ends
         # to +1 and -1, so 1 -/+ x keeps its digits next to the endpoints
-        core, logp = log_core(x, (1.0 - hi) + dist_hi, (1.0 + lo) + dist_lo)
-        return _integrand_values(core - log_pref, logp, F.kind.is_shannon)
+        return A * np.log((1.0 - hi) + dist_hi) + B * np.log((1.0 + lo) + dist_lo)
+    return env, log_w, lambda x: gegenbauer_value(m, alpha, x)
 
-    return bounds, log_pref, integrand, _exp_or_inf(log_dropped - log_pref)
+
+@functools.lru_cache(maxsize=MAX_DEGREE + 1)
+def _hermite_pieces(m: int) -> tuple[float, ...]:
+    """The zeros of H_m, the part of the Hermite model that depends on m
+    alone, computed on first use."""
+    return hermite_zeros(m).roots if m >= 1 else ()
+
+
+def _hermite_model(m: int, kappa: float):
+    """The Hermite power integral: weight e^(-t^2) on the real line; H_m
+    leads with 2^m, and its zeros are symmetric about 0."""
+    zeros = _hermite_pieces(m)
+    env = _Envelope(
+        log_weight=lambda t, *_: -t * t, log_top=0.0, peak=0.0, width=math.sqrt(0.5),
+        log_mass=0.5 * math.log(math.pi), mean=0.0, sd=math.sqrt(0.5),
+        log_lead=m * math.log(2.0), degree=m, kappa=kappa, shannon=False,
+        zero_range=(zeros[0], zeros[-1]) if m else None, centroid=0.0, solve=lambda: zeros,
+        start=-math.inf, end=math.inf, far=(math.sqrt(0.5 * kappa * m), 0.5),
+        slope=lambda t: -2.0 * t)
+    return env, env.log_weight, lambda t: hermite_value(m, t)
 
 
 def _quadrature(bounds, log_pref: float, integrand, tail: float,
@@ -612,10 +637,10 @@ def _check_tol(tol_rel: float) -> None:
 def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
     """Evaluate the integral described by ``F`` to relative tolerance."""
     _check_tol(tol_rel)
-    build = _geg_segments_and_scale if F.kind.is_gegenbauer else _lag_segments_and_scale
     where = f" at alpha = {F.alpha!r}, m = {F.m}"
+    model = _gegenbauer_model if F.kind.is_gegenbauer else _laguerre_model
     try:
-        parts = build(F)
+        parts = _build(*model(F))
     except RuntimeError as exc:
         # the zero solve: its Jacobi matrix overflows or its certificate fails
         raise QuadratureError(f"{exc}{where}") from None
@@ -624,16 +649,6 @@ def integrate_functional(F: Functional, tol_rel: float = 1e-10) -> QuadResult:
                               f"{where}") from None
     return _quadrature(*parts, tol_rel, signed=F.kind.is_shannon,
                        may_vanish=F.kind.is_shannon and F.m == 0, where=where)
-
-
-@functools.lru_cache(maxsize=MAX_DEGREE + 1)
-def _hermite_pieces(m: int) -> tuple[tuple[float, ...], float]:
-    """The zeros of H_m and the log of the sum of its absolute power-basis
-    coefficients: the parts of ``hermite_power_integral`` that depend on m
-    alone, computed on first use."""
-    coeff_bound = math.log(math.fsum(
-        abs(c) for c in np.polynomial.hermite.herm2poly([0.0] * m + [1.0])))
-    return (hermite_zeros(m).roots if m >= 1 else ()), coeff_bound
 
 
 def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
@@ -646,25 +661,7 @@ def hermite_power_integral(m: int, kappa: float, alpha_scale: float,
         raise ValueError("kappa must be positive")
     if alpha_scale <= 0:
         raise ValueError("alpha_scale must be positive")
-    zeros, coeff_bound = _hermite_pieces(m)
-    t_hi = 2.0
-    while (-t_hi * t_hi + kappa * (coeff_bound + m * math.log(max(t_hi, 1.0)))
-           > math.log(TOL_MIN) - 8.0):
-        t_hi *= 1.3
-    bounds = [-t_hi, *zeros, t_hi]
-
-    # scale off the peak of the scaled integrand
-    probe = np.linspace(-t_hi, t_hi, 201)
-    hp = hermite_value(m, probe)
-    with np.errstate(divide="ignore"):
-        core = -probe ** 2 + kappa * _log_abs_poly(hp)
-    log_pref = float(np.max(core))
-
-    def integrand(t, lo, hi, dist_lo, dist_hi):
-        logp = _log_abs_poly(hermite_value(m, t))
-        return _integrand_values(-t * t + kappa * logp - log_pref, logp, False)
-
-    q = _quadrature(bounds, log_pref, integrand, 0.0, tol_rel,
+    q = _quadrature(*_build(*_hermite_model(m, kappa)), tol_rel,
                     signed=False, may_vanish=False,
                     where=f" at alpha = {alpha_scale!r}, m = {m}")
     log_jac = 0.5 * (math.log(2.0) - math.log(alpha_scale))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -12,8 +13,7 @@ from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
 from entrofun.oracle import (QuadratureError, hermite_power_integral,
                              integrate_functional, shannon_integrand_value)
-from entrofun.orthopoly import (MAX_DEGREE, gegenbauer_value, hermite_zeros,
-                                polynomial_zeros)
+from entrofun.orthopoly import MAX_DEGREE, hermite_zeros, polynomial_zeros
 
 
 def test_tolerance_range_enforced():
@@ -118,15 +118,20 @@ def _zero_bounds(F):
 def _peak_and_width(F):
     if F.kind.is_gegenbauer:
         A, B = F.c * F.alpha + F.a, F.d * F.alpha + F.b
-        return (B - A) / (A + B), 2.0 * math.sqrt(A * B / (A + B) ** 3)
+        S = A + B
+        return (B - A) / S, 2.0 * math.sqrt(A / S) * math.sqrt(B / S) / math.sqrt(S)
     mu = F.alpha + F.sigma if F.mu is None else F.mu
     return (mu - 1.0) / F.lam, math.sqrt(mu - 1.0) / F.lam
 
 
+def _build(F):
+    """The one builder's (bounds, log scale, integrand, tail) for ``F``."""
+    model = oracle._gegenbauer_model if F.kind.is_gegenbauer else oracle._laguerre_model
+    return oracle._build(*model(F))
+
+
 def _bounds(F):
-    if F.kind.is_gegenbauer:
-        return oracle._geg_segments_and_scale(F)[0]
-    return oracle._lag_segments_and_scale(F)[0]
+    return _build(F)[0]
 
 
 def _is_run(part, whole):
@@ -567,18 +572,114 @@ def test_batched_refinement_evaluates_no_level_twice(monkeypatch):
     assert new.n_evals < ref.n_evals
 
 
-def test_gegenbauer_scale_probe_matches_per_segment_loop():
-    F = Functional.geg_renyi(20, 300.0, 0.2, 1.3, 1.0, 2.0, 1.7)
-    bounds, log_pref, _, _ = oracle._geg_segments_and_scale(F)
-    expect = -math.inf
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        xs = np.linspace(lo, hi, 17)[1:-1]
-        p = gegenbauer_value(F.m, F.alpha, xs)
-        core = ((F.c * F.alpha + F.a) * np.log(1.0 - xs)
-                + (F.d * F.alpha + F.b) * np.log(1.0 + xs)
-                + F.kappa * np.log(np.abs(p)))
-        expect = max(expect, float(np.max(core)))
-    assert log_pref == expect
+def _closed_form_scale(xs, log_weight, log_lead, m, centroid, kappa):
+    """The largest finite log w + kappa (log|lead| + m log|x - centroid|)
+    over the points xs."""
+    best = -math.inf
+    for x in xs:
+        try:
+            v = log_weight(x) + kappa * (
+                log_lead + (m * math.log(abs(x - centroid)) if m else 0.0))
+        except ValueError:      # a log of 0: the weight or |p| vanishes there
+            continue
+        if math.isfinite(v):
+            best = max(best, v)
+    return best
+
+
+def _steps(centre, unit, ks):
+    return [centre + k * unit for k in ks]
+
+
+def _expected_scale(F):
+    """The scale rule, written out per family: the probes are the weight's
+    mean and 0, 1, 2 sds either side, its peak and up to 3 widths either
+    side, and for Laguerre the peak of w x^(kappa m) and 0, 1, 2 of its sds
+    either side, kept in the domain."""
+    m, alpha, kappa = F.m, F.alpha, F.kappa
+    sds, widths = (-2, -1, 0, 1, 2), (-3, -2, -1, 0, 1, 2, 3)
+    if F.kind.is_gegenbauer:
+        A, B = F.c * alpha + F.a, F.d * alpha + F.b
+        S = A + B
+        xs = _steps((B - A) / (S + 2.0), 2.0 * math.sqrt((A + 1.0) * (B + 1.0) / (S + 3.0))
+                    / (S + 2.0), sds)
+        if A > 0.0 and B > 0.0:
+            xs += _steps((B - A) / S, 2.0 * math.sqrt(A * B / S ** 3), widths)
+        log_lead = (m * math.log(2.0) - math.lgamma(m + 1.0)
+                    + sum(math.log(alpha + k) for k in range(m)))
+        return _closed_form_scale([min(max(x, -1.0), 1.0) for x in xs],
+                                  lambda x: A * math.log1p(-x) + B * math.log1p(x),
+                                  log_lead, m, 0.0, kappa)
+    mu = alpha + F.sigma if F.mu is None else F.mu
+    lam, s = F.lam, max(mu - 1.0 + kappa * m, 0.0)
+    xs = (_steps(mu / lam, math.sqrt(mu) / lam, sds)
+          + _steps(s / lam, math.sqrt(s) / lam, sds)
+          + (_steps((mu - 1.0) / lam, math.sqrt(mu - 1.0) / lam, widths) if mu >= 2.0
+             else [(mu - 1.0) / lam]))
+    return _closed_form_scale([max(x, 0.0) for x in xs],
+                              lambda x: (mu - 1.0) * math.log(x) - lam * x,
+                              -math.lgamma(m + 1.0), m, alpha + m, kappa)
+
+
+def _largest_scaled_node(monkeypatch, compute):
+    """compute() and the largest scaled integrand value it evaluated."""
+    largest = [0.0]
+    refine = oracle._refine_segments
+
+    def watching(integrand, bounds, tol_rel):
+        def recorded(*args):
+            vals = integrand(*args)
+            largest[0] = max(largest[0], float(np.max(np.abs(vals))))
+            return vals
+        return refine(recorded, bounds, tol_rel)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_refine_segments", watching)
+        result = compute()
+    return result, largest[0]
+
+
+_SCALE_CASES = [
+    Functional.lag_renyi(5, 300.0, 2.5, 1.3, 1.7),
+    Functional.lag_shannon(20, 50.0, 1.5, 0.8),
+    Functional.lag_renyi(3, 0.7, 0.6, 1.2, 2.5),
+    # kappa m >> mu at small alpha: w |L|^kappa peaks near (mu - 1 + kappa m) / lam
+    Functional.lag_renyi(56, 2.66054504612815, 3.6506278331674706,
+                         0.4210578701421136, 3.5138158559398067),
+    Functional.ext_renyi(8, 2000.0, 1.0, 2.0, 2.0),
+    Functional.ext_shannon(30, 1e4, 1.5, 1.0),
+    Functional.geg_renyi(20, 300.0, 0.2, 1.3, 1.0, 2.0, 1.7),
+    Functional.geg_shannon(3, 1e4, -0.5, -0.5, 1.0, 1.0),
+    Functional.geg_renyi(60, 1e3, 0.0, 0.0, 1.0, 3.0, 2.0),
+    # A = 0: the weight is not log-concave, and the domain is not windowed
+    Functional.geg_renyi(4, 0.5, -0.5, 0.3, 1.0, 1.0, 2.0),
+]
+
+
+def test_scale_is_the_closed_form_rule(monkeypatch):
+    # the scale is the closed-form rule, no polynomial evaluated, and no
+    # node of the scaled integrand comes near overflow
+    def no_value(*args):
+        raise AssertionError("polynomial evaluated")
+    for F in _SCALE_CASES:
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "laguerre_value", no_value)
+            mp.setattr(oracle, "gegenbauer_value", no_value)
+            log_pref = _build(F)[1]
+        assert log_pref == pytest.approx(_expected_scale(F), rel=1e-14, abs=1e-12)
+        q, largest = _largest_scaled_node(monkeypatch, lambda: integrate_functional(F, 1e-10))
+        assert 0.0 < largest <= math.exp(700.0)
+    for m, kappa in [(0, 1.3), (5, 0.7), (20, 2.0), (60, 2.0)]:
+        # e^(-t^2) has mean and peak 0, sd and width sqrt(1/2); e^(-t^2)
+        # |t|^(kappa m) peaks at sqrt(kappa m / 2), where its sd is 1/2
+        expect = _closed_form_scale(
+            _steps(0.0, math.sqrt(0.5), (-3, -2, -1, 0, 1, 2, 3))
+            + _steps(math.sqrt(0.5 * kappa * m), 0.5, (-2, -1, 0, 1, 2)),
+            lambda t: -t * t, m * math.log(2.0), m, 0.0, kappa)
+        assert oracle._build(*oracle._hermite_model(m, kappa))[1] == pytest.approx(
+            expect, rel=1e-14, abs=1e-12)
+        q, largest = _largest_scaled_node(
+            monkeypatch, lambda: hermite_power_integral(m, kappa, 50.0))
+        assert 0.0 < largest <= math.exp(700.0)
 
 
 def test_batch_cap_is_one_finest_level():
@@ -722,8 +823,8 @@ def test_window_matches_the_untrimmed_segments(kind, m, alpha, tol):
 
 def _dropped_mass(F):
     """(log of the dropped segments' integral of |integrand|, log of the
-    bound the window reports for them, log of the tail the segment
-    function reports), from the untrimmed bounds outside the kept window, split at
+    bound the window reports for them, log of the tail the builder
+    reports), from the untrimmed bounds outside the kept window, split at
     the kept window's ends."""
     windows = []
     window = oracle._window
@@ -732,9 +833,7 @@ def _dropped_mass(F):
         windows.append(window(*args))
         return windows[-1]
     with mock.patch.object(oracle, "_window", recording):
-        bounds, log_pref, integrand, tail = (
-            oracle._geg_segments_and_scale(F) if F.kind.is_gegenbauer
-            else oracle._lag_segments_and_scale(F))
+        bounds, log_pref, integrand, tail = _build(F)
     full = _untrimmed_bounds(F)
     lo, hi = bounds[0], bounds[-1]
     regions = [[b for b in full if b < lo] + [lo], [hi] + [b for b in full if b > hi]]
@@ -811,15 +910,74 @@ def test_window_inside_the_zeros_still_solves(F):
     Functional.ext_renyi(2, 1e300, 1.0, 2.0, 2.0),
     Functional.ext_renyi(2, 1e300, 1.0, 1.0, 2.0),
     Functional.ext_shannon(4, 1e300, 1.0, 0.5),
-], ids=["geg_renyi", "geg_shannon", "ext_renyi_lam2", "ext_renyi_lam1", "ext_shannon"])
+    Functional.geg_renyi(60, 1e8, 0.0, 0.0, 1.0, 3.0, 2.0),
+], ids=["geg_renyi", "geg_shannon", "ext_renyi_lam2", "ext_renyi_lam1", "ext_shannon",
+        "geg_renyi_m60"])
 def test_huge_alpha_raises_quadrature_error_without_warnings(F):
-    # the peak width, the Jacobi matrix, the zero certificate or the
-    # integrand overflows: each ends as a QuadratureError that names alpha
-    # and m
+    # the Jacobi matrix, the zero certificate or the integrand overflows:
+    # each ends as a QuadratureError that names alpha and m
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(QuadratureError, match=rf"alpha = 1e\+300, m = {F.m}"):
+        with pytest.raises(QuadratureError,
+                           match=re.escape(f"alpha = {F.alpha!r}, m = {F.m}")):
             integrate_functional(F)
+
+
+@pytest.mark.parametrize("F,tol,log_abs", [
+    (Functional.lag_renyi(56, 2.66054504612815, 3.6506278331674706,
+                          0.4210578701421136, 3.5138158559398067), 2.3e-10,
+     401.99297735549069077),
+    (Functional.ext_renyi(60, 1.204043011291282, 2.020501470221429,
+                          1.1366018769792712, 3.4896084429155665), 1.486e-11,
+     156.63630707463290881),
+    (Functional.ext_renyi(56, 1.0611079167111774, 1.8012827592096738,
+                          1.4405525927780123, 3.6765592708232755), 1.706e-11,
+     91.89534083790808826),
+    (Functional.ext_renyi(50, 1.4292147448592225, 1.0098973752748388,
+                          1.1219051210528146, 3.6985756922396393), 1.323e-9,
+     152.79748735550040727),
+    (Functional.lag_renyi(52, 7.715143754502432, 4.062779927332688,
+                          0.5244973647950986, 3.6779770770410165), 8.99e-10,
+     350.91965813660786264),
+    (Functional.lag_renyi(44, 0.6199249174126475, 1.3851597656842933,
+                          0.7027936224305941, 3.8686856270041585), 5.06e-10,
+     250.95081290844229378),
+    (Functional.lag_renyi(56, 0.5441703585917679, 0.7392194512499266,
+                          0.8050534034547953, 3.1048255108798064), 1.08e-12,
+     175.26369801720627943),
+], ids=["lag_m56", "ext_m60", "ext_m56", "ext_m50", "lag_m52", "lag_m44", "lag_m56_tol1e-12"])
+def test_high_degree_laguerre_at_small_alpha_certifies(F, tol, log_abs):
+    # kappa m >> mu at alpha ~ 1: w |L|^kappa peaks near (mu - 1 + kappa m)
+    # / lam, far above the weight's peak; the references are mpmath's
+    # tanh-sinh at 40 digits, split at the zeros
+    q = integrate_functional(F, tol)
+    assert abs(q.value.log_abs - log_abs) <= max(tol, _log_floor(log_abs))
+
+
+def _lag24_log_value(m, alpha, mp):
+    """log of the integral of x^(3/2) e^(-x) L_m^(alpha)(x)^2: the exact
+    finite sum sum_(i,j) c_i c_j Gamma(5/2 + i + j) over the power-basis
+    coefficients c_k = (-1)^k C(m + alpha, m - k) / k!, at 60 digits."""
+    with mp.workdps(60):
+        al = mp.mpf(alpha)
+        c = [(-1) ** k * mp.binomial(m + al, m - k) / mp.factorial(k) for k in range(m + 1)]
+        return float(mp.log(mp.fsum(c[i] * c[j] * mp.gamma(mp.mpf(2.5) + i + j)
+                                    for i in range(m + 1) for j in range(m + 1))))
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e16, 1e18, 1e20, 1e30])
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_huge_alpha_laguerre_matches_the_exact_sum(m, alpha):
+    # the domain ends where the envelope bounds the tail, with no Taylor
+    # coefficient bound whose lgamma differences lose their digits here; a
+    # LogValue resolves log|I| only to its last place, so the certificate
+    # is checked up to the same 8 units there
+    mp = pytest.importorskip("mpmath")
+    log_abs = _lag24_log_value(m, alpha, mp)
+    q = integrate_functional(Functional.lag_renyi(m, alpha, 2.5, 1.0, 2.0), 1e-10)
+    err = abs(q.value.log_abs - log_abs)
+    assert err <= max(1e-10, _log_floor(log_abs))
+    assert err <= math.exp(q.abs_err_log - q.value.log_abs) + _log_floor(log_abs)
 
 
 @pytest.mark.parametrize("name,F", [
@@ -839,7 +997,7 @@ def test_batched_integrand_calls_stay_within_one_finest_level(monkeypatch, name,
         return value(m, alpha, x)
     monkeypatch.setattr(oracle, name, counting)
     q = integrate_functional(F, 1e-12)
-    n_calls = len(sizes) - (name == "gegenbauer_value")   # the scale probe
+    n_calls = len(sizes)
     assert max(sizes) <= cap
     # one call per level of all pending segments, not one per segment
     assert n_calls < len(q.segments)
@@ -853,10 +1011,8 @@ def test_hermite_pieces_equal_a_fresh_computation():
     oracle._hermite_pieces.cache_clear()
     for _ in range(2):  # the first pass fills the cache, the second reads it
         for m in range(MAX_DEGREE + 1):
-            zeros, bound = oracle._hermite_pieces(m)
+            zeros = oracle._hermite_pieces(m)
             assert zeros == (hermite_zeros(m).roots if m >= 1 else ())
-            assert bound == math.log(math.fsum(abs(c) for c in
-                np.polynomial.hermite.herm2poly([0.0] * m + [1.0])))
 
 
 @pytest.mark.parametrize("m, kappa", [(0, 1.3), (3, 1.5), (8, 2.7), (25, 0.9)])
