@@ -37,7 +37,7 @@ from .closedforms import log_factorial, log_gamma, pochhammer
 from .functional import Functional, Kind
 from .logvalue import LogValue
 from .orthopoly import hermite_value
-from .series import laplace_terms
+from .series import _over_power, laplace_terms
 
 K_MAX = 7
 TOL_REL = 1e-10
@@ -142,8 +142,8 @@ def _lag_grouped_terms(c, alpha: float, K: int) -> list[float]:
     the ladder coefficients come in pairs C_{2k-1}, C_{2k} of equal order."""
     terms = [c[0]]
     for k in range(1, K + 1):
-        terms.append(c[2 * k - 1] / alpha ** (2 * k - 1)
-                     + c[2 * k] / alpha ** (2 * k))
+        terms.append(_over_power(c[2 * k - 1], alpha, 2 * k - 1)
+                     + _over_power(c[2 * k], alpha, 2 * k))
     return terms
 
 
@@ -230,12 +230,12 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
     pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, kappa))
     ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K,
                                  dkappa=shannon)
-    t = [v / alpha ** k for k, v in enumerate(ladder.values)]
+    t = [_over_power(v, alpha, k) for k, v in enumerate(ladder.values)]
     if not shannon:
         return _assemble(pref, t, "laplace_cd", force)
     ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
            - 2.0 * log_factorial(m))
-    dt = [v / alpha ** k for k, v in enumerate(ladder.dkappa)]
+    dt = [_over_power(v, alpha, k) for k, v in enumerate(ladder.dkappa)]
     return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
                      force_truncation=True)
 
@@ -295,7 +295,7 @@ def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
         d = [coeffs.ext_lag_D(k, sigma, lam, kappa, m) for k in range(K + 1)]
         dp = [coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, kappa, m)
               for k in range(K + 1)]
-        terms = [s / alpha ** k
+        terms = [_over_power(s, alpha, k)
                  for k, s in enumerate(_shannon_terms(ell, d, dp))]
         return _assemble(pref, terms, "laplace_shannon_analytic",
                          force_truncation=True)

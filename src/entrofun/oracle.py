@@ -27,8 +27,9 @@ longest prefix and suffix of segments whose bounds stay below e^-28 TOL_MIN
 of an estimate of the integral are dropped, and their bound joins the tail
 that the certificate adds to the error, so a poor estimate can only fail
 the certificate.  Before the zeros are solved for, the window is trimmed
-knowing only the Gershgorin range that holds them; a window clear of that
-range holds no zero, and the solve is skipped.  An unbounded end lies where
+knowing only the Gershgorin range that holds them, ``orthopoly.zero_range``
+for Laguerre and Gegenbauer alike; a window clear of that range holds no
+zero, and the solve is skipped.  An unbounded end lies where
 the same envelope, with every zero within R of 0, bounds the mass beyond it.
 
 All floating-point work happens after dividing the integrand by a log-space
@@ -61,10 +62,8 @@ import numpy as np
 
 from .functional import Functional
 from .logvalue import LogValue
-from .orthopoly import (MAX_DEGREE, _check_degree, _gegenbauer_zero_radius,
-                        _laguerre_zero_ceiling, _laguerre_zero_floor,
-                        gegenbauer_value, hermite_value, hermite_zeros,
-                        laguerre_value, polynomial_zeros)
+from .orthopoly import (MAX_DEGREE, _check_degree, gegenbauer_value, hermite_value,
+                        hermite_zeros, laguerre_value, polynomial_zeros, zero_range)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 _T_MAX = 6.1
@@ -519,8 +518,7 @@ def _laguerre_model(F: Functional):
         log_weight=log_weight, log_top=log_top, peak=x_p, width=width,
         log_mass=math.lgamma(mu) - mu * math.log(lam), mean=mu / lam, sd=math.sqrt(mu) / lam,
         log_lead=-math.lgamma(m + 1.0), degree=m, kappa=kappa, shannon=F.kind.is_shannon,
-        zero_range=((_laguerre_zero_floor(m, alpha), _laguerre_zero_ceiling(m, alpha))
-                    if m else None),
+        zero_range=zero_range("laguerre", m, alpha) if m else None,
         centroid=alpha + m, solve=lambda: polynomial_zeros("laguerre", m, alpha).roots,
         start=0.0, end=math.inf, far=(s / lam, math.sqrt(s) / lam),
         slope=lambda x: max(mu - 1.0, 0.0) / x - lam)
@@ -536,7 +534,7 @@ def _gegenbauer_model(F: Functional):
     if A <= -1.0 or B <= -1.0:
         raise ValueError("Gegenbauer weight exponents must exceed -1 for an "
                          "integrable weight")
-    S, r = A + B, _gegenbauer_zero_radius(m, alpha) if m else None
+    S = A + B
     peak = width = None
     if A > 0.0 and B > 0.0:
         # log-concave, peaking at (B - A) / (A + B), where its log has
@@ -554,7 +552,8 @@ def _gegenbauer_model(F: Functional):
             / math.sqrt(S + 3.0)),
         log_lead=(m * math.log(2.0) - math.lgamma(m + 1.0)
                   + math.fsum(math.log(alpha + k) for k in range(m))),
-        degree=m, kappa=kappa, shannon=F.kind.is_shannon, zero_range=(-r, r) if m else None,
+        degree=m, kappa=kappa, shannon=F.kind.is_shannon,
+        zero_range=zero_range("gegenbauer", m, alpha) if m else None,
         centroid=0.0, solve=lambda: polynomial_zeros("gegenbauer", m, alpha).roots,
         start=-1.0, end=1.0)
 

@@ -2,29 +2,25 @@
 
 Evaluation is by upward three-term recurrence in double precision, which is
 well conditioned for the modest degrees (m <= 60) and large parameters this
-package works in.  The value-only evaluators accept either a float or a
-numpy array for the argument.  On an array the Laguerre and Gegenbauer
-evaluators run the recurrence in preallocated buffers with in-place ufuncs,
-which perform the same IEEE operations in the same order as the scalar
-expression, so each element is bitwise the scalar value; the argument itself
-is never written.
+package works in.  One loop, p_(n+1) = (a_n(x) p_n - w_n p_(n-1)) / d_n,
+serves every family, which gives only a_n, w_n and d_n.  Floats and numpy
+arrays take the same loop, in preallocated buffers with in-place ufuncs; a
+float comes back 0-d, and the argument is never written.
 
 The m zeros of each family are the eigenvalues of the m x m symmetric
 tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
-Math. Comp. 23, 1969).  numpy's ``eigvalsh`` gives them to about machine
-precision times the matrix norm; a few Newton steps, each kept between the
-midpoints to the neighbouring eigenvalues, bring every zero to within
-rounding of the polynomial's own values.  A step takes f / f' from the pair
-(p_m, p_(m-1)) of one recurrence, through the family's derivative identity.
-The result is certified by a sign change of the polynomial between
-consecutive zeros; a failed certificate, or a Jacobi matrix whose entries
-overflow double precision, raises ``RuntimeError``.  The matrix's Gershgorin
-discs bound the zeros without a solve.
+Math. Comp. 23, 1969), made by one builder.  numpy's ``eigvalsh`` gives them
+to about machine precision times the matrix norm; a few Newton steps, each
+taking f / f' from the pair (p_m, p_(m-1)) of one recurrence through the
+family's derivative identity, bring every zero to within rounding of the
+polynomial's own values.  The result is certified by finite sign changes of
+the polynomial between consecutive zeros; a failed certificate, or a Jacobi
+matrix whose entries overflow double precision, raises ``RuntimeError``.
+``zero_range`` bounds the zeros without a solve: one Gershgorin range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +42,26 @@ def _check_degree(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Value-only evaluators (float or numpy array argument)
+# Values (float or numpy array argument)
 # ---------------------------------------------------------------------------
+
+def _three_term(m: int, x, step):
+    """(p_m(x), p_(m-1)(x)) from p_0 = 1 and p_(-1) = 0 by
+    p_(n+1) = (a_n(x) p_n - w_n p_(n-1)) / d_n; the second is 0 at m = 0.
+    ``step(n, x, out)`` writes a_n(x) into ``out`` and returns (w_n, d_n).
+    A float or a 0-d array comes back 0-d."""
+    x = np.asarray(x, dtype=float)
+    p, p_prev, tmp = np.ones(x.shape), np.zeros(x.shape), np.empty(x.shape)
+    for n in range(m):
+        w, d = step(n, x, tmp)
+        if n:   # p_1 is a_0 itself: every family has d_0 = 1
+            tmp *= p
+            p_prev *= w
+            tmp -= p_prev
+            tmp /= d
+        p, p_prev, tmp = tmp, p, p_prev
+    return p[()], p_prev[()]
+
 
 def laguerre_value(m: int, alpha: float, x):
     """L_m^(alpha)(x) by the three-term recurrence."""
@@ -55,25 +69,11 @@ def laguerre_value(m: int, alpha: float, x):
 
 
 def _laguerre_pair(m: int, alpha: float, x):
-    """(L_m^(alpha)(x), L_(m-1)^(alpha)(x)) from one recurrence; the second
-    is 0 at m = 0."""
-    p_prev = x * 0.0 + 1.0
-    if m == 0:
-        return p_prev, x * 0.0
-    p = alpha + 1.0 - x
-    if not isinstance(p, np.ndarray):
-        for n in range(1, m):
-            p, p_prev = ((2 * n + 1 + alpha - x) * p - (n + alpha) * p_prev) / (n + 1.0), p
-        return p, p_prev
-    tmp = np.empty_like(p)
-    for n in range(1, m):
-        np.subtract(2 * n + 1 + alpha, x, out=tmp)
-        tmp *= p
-        p_prev *= n + alpha
-        tmp -= p_prev
-        tmp /= n + 1.0
-        p, p_prev, tmp = tmp, p, p_prev
-    return p, p_prev
+    """(L_m^(alpha)(x), L_(m-1)^(alpha)(x)) from one recurrence."""
+    def step(n, x, out):
+        np.subtract(2 * n + 1 + alpha, x, out=out)
+        return n + alpha, n + 1.0
+    return _three_term(m, x, step)
 
 
 def gegenbauer_value(m: int, alpha: float, x):
@@ -82,25 +82,12 @@ def gegenbauer_value(m: int, alpha: float, x):
 
 
 def _gegenbauer_pair(m: int, alpha: float, x):
-    """(C_m^(alpha)(x), C_(m-1)^(alpha)(x)) from one recurrence; the second
-    is 0 at m = 0."""
-    p_prev = x * 0.0 + 1.0
-    if m == 0:
-        return p_prev, x * 0.0
-    p = 2.0 * alpha * x
-    if not isinstance(p, np.ndarray):
-        for n in range(2, m + 1):
-            p, p_prev = (2.0 * (n - 1 + alpha) * x * p - ((n - 2) + 2 * alpha) * p_prev) / n, p
-        return p, p_prev
-    tmp = np.empty_like(p)
-    for n in range(2, m + 1):
-        np.multiply(2.0 * (n - 1 + alpha), x, out=tmp)
-        tmp *= p
-        p_prev *= (n - 2) + 2 * alpha
-        tmp -= p_prev
-        tmp /= n
-        p, p_prev, tmp = tmp, p, p_prev
-    return p, p_prev
+    """(C_m^(alpha)(x), C_(m-1)^(alpha)(x)) from one recurrence; w_1 is 2 alpha
+    exactly."""
+    def step(n, x, out):
+        np.multiply(2 * (n + alpha), x, out=out)
+        return (n - 1) + 2 * alpha, n + 1.0
+    return _three_term(m, x, step)
 
 
 def hermite_value(m: int, x):
@@ -109,124 +96,105 @@ def hermite_value(m: int, x):
 
 
 def _hermite_pair(m: int, x):
-    """(H_m(x), H_(m-1)(x)) from one recurrence; the second is 0 at m = 0."""
-    p_prev = x * 0.0 + 1.0
-    if m == 0:
-        return p_prev, x * 0.0
-    p = 2.0 * x
-    for n in range(1, m):
-        p, p_prev = 2.0 * x * p - 2.0 * n * p_prev, p
-    return p, p_prev
+    """(H_m(x), H_(m-1)(x)) from one recurrence."""
+    def step(n, x, out):
+        np.multiply(2.0, x, out=out)
+        return 2.0 * n, 1.0
+    return _three_term(m, x, step)
 
 
 # ---------------------------------------------------------------------------
 # Real zeros
 # ---------------------------------------------------------------------------
 
+def _jacobi(family: str, m: int, alpha: float | None):
+    """Diagonal and off-diagonal of the Jacobi matrix of the degree-m
+    polynomial of ``family``; ``RuntimeError`` where an entry overflows."""
+    k = np.arange(1, m, dtype=float)
+    with np.errstate(over="ignore"):
+        if family == "laguerre":
+            diag, num, den = 2.0 * np.arange(m) + alpha + 1.0, k * (k + alpha), 1.0
+        elif family == "gegenbauer":
+            diag, num = np.zeros(m), k * ((k - 1.0) + 2.0 * alpha)
+            den = 4.0 * (k + alpha) * ((k - 1.0) + alpha)
+        else:
+            diag, num, den = np.zeros(m), k, 2.0
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise RuntimeError(f"the {family} Jacobi matrix of degree {m} "
+                           f"overflows double precision")
+    return diag, np.sqrt(num / den)
+
+
+def zero_range(family: str, m: int, alpha: float) -> tuple[float, float]:
+    """(lo, hi) holding every zero of the degree-m ``family`` polynomial,
+    m >= 1: the ends of the Jacobi matrix's Gershgorin discs,
+    min_i(diag_i - off_(i-1) - off_i) and max_i(diag_i + off_(i-1) + off_i),
+    each moved out by 1e-9 of its size to cover the rounding of the disc
+    edges and of the computed zeros; at m = 1 both are the zero itself."""
+    _check_degree(m)
+    diag, off = _jacobi(family, m, alpha)
+    left, right = np.concatenate(([0.0], off)), np.concatenate((off, [0.0]))
+    lo = float(((diag - left) - right).min())
+    hi = float(((diag + left) + right).max())
+    return lo - 1e-9 * abs(lo), hi + 1e-9 * abs(hi)
+
+
 def _jacobi_roots(diag, off, f, ratio) -> tuple[float, ...]:
     """The zeros of an orthogonal polynomial ``f``, in increasing order,
-    from its Jacobi matrix.
+    from its Jacobi matrix's diagonal ``diag`` and off-diagonal ``off``.
 
-    ``diag`` and ``off`` are the diagonal and off-diagonal of the symmetric
-    tridiagonal Jacobi matrix, whose eigenvalues are the zeros (Golub and
-    Welsch, Math. Comp. 23, 1969).  Each eigenvalue is polished by Newton
-    steps ``ratio(x) = f(x) / f'(x)`` that stay between the midpoints to its
-    neighbouring eigenvalues.
-    A root stops when its step falls to 4e-16 relative or stops shrinking:
-    near large-parameter zeros the rounding noise of the recurrence keeps
-    the step from ever reaching 4e-16.  The result is certified: the roots
-    must be strictly increasing and ``f`` must alternate in sign across the
-    midpoints between consecutive roots.
+    Each eigenvalue is polished by Newton steps ``ratio(x) = f(x) / f'(x)``
+    that stay between the midpoints to its neighbouring eigenvalues.  A root
+    stops when its step falls to 4e-16 relative or stops shrinking: near
+    large-parameter zeros the rounding noise of the recurrence keeps the
+    step from ever reaching 4e-16.  numpy's floating-point warnings are off;
+    the certificate judges: the roots must be strictly increasing and ``f``
+    finite and alternating in sign across the midpoints between them.
     """
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mid = 0.5 * (x[:-1] + x[1:])
-    lo = np.concatenate(([-np.inf], mid))
-    hi = np.concatenate((mid, [np.inf]))
-    step = np.full(x.shape, np.inf)
-    active = np.arange(x.size)
-    for _ in range(50):     # a backstop; the certificate below judges the result
-        xa = x[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        mid = 0.5 * (x[:-1] + x[1:])
+        lo = np.concatenate(([-np.inf], mid))
+        hi = np.concatenate((mid, [np.inf]))
+        step = np.full(x.shape, np.inf)
+        active = np.arange(x.size)
+        for _ in range(50):     # a backstop; the certificate below judges the result
+            xa = x[active]
             new = xa - ratio(xa)
-        new_step = np.abs(new - xa)
-        take = (lo[active] < new) & (new < hi[active]) & (new_step < step[active])
-        x[active[take]] = new[take]
-        step[active[take]] = new_step[take]
-        active = active[take & (new_step > 4e-16 * np.maximum(1.0, np.abs(new)))]
-        if active.size == 0:
-            break
-
-    signs = np.sign(f(0.5 * (x[:-1] + x[1:])))
-    if not (np.all(np.diff(x) > 0.0) and np.all(signs != 0.0)
-            and np.all(signs[:-1] != signs[1:])):
+            new_step = np.abs(new - xa)
+            take = (lo[active] < new) & (new < hi[active]) & (new_step < step[active])
+            x[active[take]] = new[take]
+            step[active[take]] = new_step[take]
+            active = active[take & (new_step > 4e-16 * np.maximum(1.0, np.abs(new)))]
+            if active.size == 0:
+                break
+        vals = f(0.5 * (x[:-1] + x[1:]))
+    signs = np.sign(vals)
+    if not ((np.diff(x) > 0.0).all() and (np.isfinite(vals) & (signs != 0.0)).all()
+            and (signs[:-1] != signs[1:]).all()):
         raise RuntimeError(f"polished zeros {x.tolist()} are not separated by "
-                           f"sign changes")
+                           f"finite sign changes")
     return tuple(float(r) for r in x)
 
 
-def _laguerre_jacobi(m: int, alpha: float):
-    """Diagonal and off-diagonal of the Jacobi matrix of L_m^(alpha)."""
-    k = np.arange(1, m, dtype=float)
-    with np.errstate(over="ignore"):
-        prod = k * (k + alpha)
-    _check_finite(prod, "laguerre", m)
-    return 2.0 * np.arange(m) + alpha + 1.0, np.sqrt(prod)
+def _zeros(family: str, m: int, alpha: float | None) -> ZeroSet:
+    """The m zeros of the degree-m ``family`` polynomial; callers check inputs."""
+    pair = {"laguerre": lambda x: _laguerre_pair(m, alpha, x),
+            "gegenbauer": lambda x: _gegenbauer_pair(m, alpha, x),
+            "hermite": lambda x: _hermite_pair(m, x)}[family]
 
-
-def _gegenbauer_jacobi(m: int, alpha: float):
-    """Diagonal and off-diagonal of the Jacobi matrix of C_m^(alpha)."""
-    k = np.arange(1, m, dtype=float)
-    with np.errstate(over="ignore"):
-        den = 4.0 * (k + alpha) * ((k - 1.0) + alpha)
-    _check_finite(den, "gegenbauer", m)
-    return np.zeros(m), np.sqrt(k * ((k - 1.0) + 2.0 * alpha) / den)
-
-
-def _check_finite(entries, family: str, m: int) -> None:
-    if not np.all(np.isfinite(entries)):
-        raise RuntimeError(f"the {family} Jacobi matrix of degree {m} "
-                           f"overflows double precision")
-
-
-def _laguerre_zero_floor(m: int, alpha: float) -> float:
-    """A lower bound on every zero of L_m^(alpha), m >= 1.
-
-    The zeros are the eigenvalues of the Jacobi matrix, so none lies below
-    its lowest Gershgorin disc, min_i(diag_i - off_(i-1) - off_i).  The
-    bound is lowered by 1e-9 of its size to cover the rounding of the disc
-    edges and of the computed zeros; at m = 1 it is the zero itself.
-    """
-    _check_degree(m)
-    diag, off = _laguerre_jacobi(m, alpha)
-    edge = float(np.min(diag - np.concatenate(([0.0], off))
-                        - np.concatenate((off, [0.0]))))
-    return edge - 1e-9 * abs(edge)
-
-
-def _laguerre_zero_ceiling(m: int, alpha: float) -> float:
-    """An upper bound on every zero of L_m^(alpha), m >= 1.
-
-    Both the diagonal 2 i + alpha + 1 and the off-diagonal sqrt(k (k +
-    alpha)) grow along the Jacobi matrix, so every Gershgorin disc ends
-    below the last diagonal entry plus twice the last off-diagonal one.
-    The bound is raised by 1e-9 of its size, like the floor.
-    """
-    _check_degree(m)
-    edge = 2.0 * m + alpha - 1.0 + 2.0 * math.sqrt((m - 1.0) * (m - 1.0 + alpha))
-    return edge + 1e-9 * abs(edge)
-
-
-def _gegenbauer_zero_radius(m: int, alpha: float) -> float:
-    """A bound on |z| over the zeros z of C_m^(alpha), m >= 1.
-
-    The Jacobi matrix has a zero diagonal, so every Gershgorin disc lies
-    within twice the largest off-diagonal entry of 0; the bound is raised
-    by 1e-9 of its size, like the Laguerre floor.
-    """
-    _check_degree(m)
-    off = _gegenbauer_jacobi(m, alpha)[1]
-    edge = 2.0 * float(off.max()) if m >= 2 else 0.0
-    return edge + 1e-9 * edge
+    def ratio(x):
+        p, q = pair(x)
+        if family == "laguerre":
+            # x L_m' = m L_m - (m + alpha) L_(m-1)
+            return x * p / (m * p - (m + alpha) * q)
+        if family == "gegenbauer":
+            # (1 - x^2) C_m' = (m + 2 alpha - 1) C_(m-1) - m x C_m
+            return (1.0 - x) * (1.0 + x) * p / ((m + 2.0 * alpha - 1.0) * q - m * x * p)
+        # H_m' = 2 m H_(m-1)
+        return p / (2.0 * m * q)
+    return ZeroSet(_jacobi_roots(*_jacobi(family, m, alpha), lambda x: pair(x)[0],
+                                 ratio), m)
 
 
 def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
@@ -237,13 +205,6 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
     if family == "laguerre":
         if alpha <= -1.0:
             raise ValueError("laguerre zeros require alpha > -1")
-        diag, off = _laguerre_jacobi(m, alpha)
-        f = lambda x: laguerre_value(m, alpha, x)
-
-        def ratio(x):
-            # x L_m' = m L_m - (m + alpha) L_(m-1)
-            p, q = _laguerre_pair(m, alpha, x)
-            return x * p / (m * p - (m + alpha) * q)
     elif family == "gegenbauer":
         if alpha <= 0.0:
             raise ValueError("gegenbauer zeros require alpha > 0")
@@ -251,16 +212,9 @@ def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:
             # the lower end of the supported range: 1 + alpha rounds to 1
             raise ValueError(f"gegenbauer zeros require 1 + alpha > 1 in "
                              f"double precision, got alpha = {alpha!r}")
-        diag, off = _gegenbauer_jacobi(m, alpha)
-        f = lambda x: gegenbauer_value(m, alpha, x)
-
-        def ratio(x):
-            # (1 - x^2) C_m' = (m + 2 alpha - 1) C_(m-1) - m x C_m
-            p, q = _gegenbauer_pair(m, alpha, x)
-            return (1.0 - x) * (1.0 + x) * p / ((m + 2.0 * alpha - 1.0) * q - m * x * p)
     else:
         raise ValueError(f"unknown polynomial family {family!r}")
-    return ZeroSet(_jacobi_roots(diag, off, f, ratio), m)
+    return _zeros(family, m, alpha)
 
 
 def hermite_zeros(m: int) -> ZeroSet:
@@ -268,11 +222,4 @@ def hermite_zeros(m: int) -> ZeroSet:
     _check_degree(m)
     if m < 1:
         raise ValueError("hermite_zeros requires m >= 1")
-    off = np.sqrt(np.arange(1, m) / 2.0)
-
-    def ratio(x):
-        # H_m' = 2 m H_(m-1)
-        p, q = _hermite_pair(m, x)
-        return p / (2.0 * m * q)
-    return ZeroSet(_jacobi_roots(np.zeros(m), off, lambda x: hermite_value(m, x),
-                                 ratio), m)
+    return _zeros("hermite", m, None)

@@ -147,10 +147,22 @@ def _double_factorial_odd(k: int) -> float:
     return out
 
 
+def _over_power(c: float, alpha: float, k: int) -> float:
+    """The ladder term c / alpha^k, alpha > 1, or 0 where alpha^k overflows
+    double precision: the term is then below |c| 6e-309.  A coefficient
+    that is not finite raises the series overflow error."""
+    if not math.isfinite(c):
+        raise _overflow()
+    try:
+        return c / alpha ** k
+    except OverflowError:
+        return 0.0
+
+
 def laplace_terms(amplitude: Series, alpha: float, K: int) -> list[float]:
     """Gaussian-moment terms c_{2k} (2k-1)!! / alpha^k for k = 0..K."""
     if amplitude.order < 2 * K:
         raise ValueError(f"amplitude order {amplitude.order} is insufficient "
                          f"for K={K} (need >= {2 * K})")
-    return [amplitude.coeffs[2 * k] * _double_factorial_odd(k) / alpha ** k
+    return [_over_power(amplitude.coeffs[2 * k] * _double_factorial_odd(k), alpha, k)
             for k in range(K + 1)]

@@ -489,13 +489,41 @@ def test_evaluate_asymptotic_validates_K(F, K):
     Functional.lag_renyi(2, 1e300, 2.5, 1.0, 2.0),
     Functional.lag_shannon(2, 1e300, 2.5, 1.5),
     Functional.lag_renyi(20, 1e200, 2.5, 1.0, 2.0),
-    Functional.geg_renyi(2, 1e300, 0.0, 0.0, 1.0, 3.0, 2.0),
-    Functional.ext_renyi(2, 1e300, 1.0, 2.0, 2.0),
+    # at m = 2 both ladders now hold at 1e300; from m = 4 their coefficients
+    # overflow: alpha^n in the Gegenbauer f_n, and the extended amplitude
+    # comes out NaN
+    Functional.geg_renyi(4, 1e300, 0.0, 0.0, 1.0, 3.0, 2.0),
+    Functional.ext_renyi(4, 1e300, 1.0, 2.0, 2.0),
 ], ids=["lag_renyi", "lag_shannon", "lag_renyi_m20", "geg_renyi", "ext_renyi"])
 def test_overflow_names_alpha_and_m(F):
     where = re.escape(f"alpha = {F.alpha!r}, m = {F.m}")
     with pytest.raises(OverflowError, match=f"overflows double precision at {where}"):
         evaluate_asymptotic(F)
+
+
+@pytest.mark.parametrize("m,alpha", [
+    (1, 1e23), (1, 1e30), (1, 1e100), (2, 1e23), (2, 1e30), (2, 1e100),
+    (3, 1e23), (3, 1e30), (10, 1e23), (10, 1e30)])
+def test_watson_ladder_past_the_overflow_of_alpha_powers(m, alpha):
+    # alpha^k overflows double precision from k = 14 at alpha = 1e23: the
+    # terms there lie below |C_k| 6e-309 and count as 0
+    ref = lag24_value(m, alpha, 2.5)
+    res = evaluate_asymptotic(Functional.lag_renyi(m, alpha, 2.5, 1.0, 2.0))
+    assert res.status == "ok"
+    assert abs(res.value.log_abs - ref.log_abs) <= math.ulp(abs(ref.log_abs))
+
+
+@pytest.mark.parametrize("F", [
+    Functional.geg_renyi(3, 1e50, -0.5, 4.5, 1.0, 3.0, 2.0),
+    Functional.geg_shannon(3, 1e50, -0.5, 4.5, 1.0, 3.0),
+    Functional.ext_renyi(3, 1e50, 1.0, 2.0, 2.0),
+], ids=["geg_renyi", "geg_shannon", "ext_renyi"])
+def test_laplace_ladders_past_the_overflow_of_alpha_powers(F):
+    # alpha^7 overflows at alpha = 1e50; every term past k = 1 is below
+    # 1e-99 of the first, so the full ladder is its own K = 1 truncation
+    full, one = evaluate_asymptotic(F), evaluate_asymptotic(F, K=1)
+    assert full.status == "ok"
+    assert full.value.rel_diff(one.value) <= 1e-15
 
 
 @pytest.mark.parametrize("F", [

@@ -13,7 +13,7 @@ from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
 from entrofun.oracle import (QuadratureError, hermite_power_integral,
                              integrate_functional, shannon_integrand_value)
-from entrofun.orthopoly import MAX_DEGREE, hermite_zeros, polynomial_zeros
+from entrofun.orthopoly import MAX_DEGREE, hermite_zeros, polynomial_zeros, zero_range
 
 
 def test_tolerance_range_enforced():
@@ -197,7 +197,14 @@ def test_peak_on_the_end_of_the_domain_splits_nothing():
     F = Functional.geg_renyi(2, 1.0, -(1.0 - 2.0 ** -53), 0.0, 1.0, 3e4, 2.0)
     assert _peak_and_width(F)[0] == 1.0
     assert _untrimmed_bounds(F) == _zero_bounds(F)
-    assert _is_run(_bounds(F), _zero_bounds(F))
+    # the window is trimmed against the zero range before any solve, so it
+    # may start at the range's end, 0.5 + 5e-10 here, instead of the zero
+    # 0.5; no bound is a peak breakpoint inside the domain
+    peak, width = _peak_and_width(F)
+    ends = zero_range("gegenbauer", F.m, F.alpha)
+    bounds = _bounds(F)
+    assert _is_run(bounds, sorted({*_zero_bounds(F), *ends}))
+    assert not {peak + k * width for k in oracle._PEAK_STEPS} & set(bounds[:-1])
     assert oracle._split_at_peak([0.0, 0.5, 2.0], 2.0, 1e-3) == [0.0, 0.5, 2.0]
 
 
@@ -752,7 +759,9 @@ def test_laguerre_window_below_the_zeros_skips_the_zero_solve(monkeypatch):
     # in the Watson regime the integration window ends below the first zero
     F = Functional.lag_shannon(30, 2000.0, 2.5, 1.3)
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "_laguerre_zero_floor", lambda m, alpha: -math.inf)
+        # a range reaching down to -inf puts the weight's peak inside it
+        full = oracle.zero_range
+        mp.setattr(oracle, "zero_range", lambda *args: (-math.inf, full(*args)[1]))
         solved = integrate_functional(F)
 
     def no_solve(*args):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrofun.orthopoly import (_check_degree, _gegenbauer_pair, _hermite_pair,
-                                _gegenbauer_zero_radius, _jacobi_roots, _laguerre_pair,
-                                _laguerre_zero_ceiling, _laguerre_zero_floor,
+from entrofun.orthopoly import (MAX_DEGREE, _check_degree, _gegenbauer_pair,
+                                _hermite_pair, _jacobi_roots, _laguerre_pair,
                                 gegenbauer_value, hermite_value, hermite_zeros,
-                                laguerre_value, polynomial_zeros)
+                                laguerre_value, polynomial_zeros, zero_range)
+from orthopoly_reference import ref_gegenbauer_pair, ref_hermite_pair, ref_laguerre_pair
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,43 @@ def test_array_values_match_scalar_path_bitwise(family, m):
     assert _bits(buf) == _bits(before)
 
 
+_REFERENCE = {
+    # the one loop's pair and value, the reference loop, the alphas and the
+    # points, none of whose values overflows
+    "laguerre": (_laguerre_pair, laguerre_value, ref_laguerre_pair,
+                 (-0.5, 0.0, 0.3, 7.5, 300.0, 1e4),
+                 lambda alpha: (alpha + 60.0) * np.linspace(-0.1, 4.0, 81)),
+    "gegenbauer": (_gegenbauer_pair, gegenbauer_value, ref_gegenbauer_pair,
+                   (1e-10, 0.3, 1.0, 7.5, 300.0, 1e4),
+                   lambda alpha: np.linspace(-1.2, 1.2, 81)),
+    "hermite": (lambda m, alpha, x: _hermite_pair(m, x),
+                lambda m, alpha, x: hermite_value(m, x),
+                lambda m, alpha, x: ref_hermite_pair(m, x), (None,),
+                lambda alpha: np.linspace(-12.0, 12.0, 81)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCE))
+def test_one_loop_matches_the_reference_recurrences_bitwise(family):
+    # bit for bit, the signs of exact zeros included (+-0.0 are points too)
+    pair, value, ref, alphas, points = _REFERENCE[family]
+
+    def bits(values):
+        return _bits(np.asarray(values, dtype=float))
+    for alpha in alphas:
+        xs = np.concatenate((points(alpha), [0.0, -0.0]))
+        for m in range(MAX_DEGREE + 1):
+            expect = [ref(m, alpha, float(x)) for x in xs]
+            p, q = pair(m, alpha, xs)
+            assert bits(p) == bits([e[0] for e in expect]), (alpha, m)
+            assert bits(q) == bits([e[1] for e in expect]), (alpha, m)
+            assert bits(value(m, alpha, xs)) == bits(p)
+            for i in [*range(0, xs.size - 2, 16), -2, -1]:
+                x = float(xs[i])
+                assert bits(pair(m, alpha, x)) == bits(expect[i]), (alpha, m, x)
+                assert bits(value(m, alpha, x)) == bits(expect[i][0])
+
+
 @pytest.mark.parametrize("family", sorted(_ARRAY_FAMILIES))
 def test_zero_dim_and_numpy_scalar_arguments(family):
     value = _ARRAY_FAMILIES[family][0]
@@ -444,34 +481,51 @@ def test_zero_degree_rejected():
         polynomial_zeros("chebyshev", 2, 1.0)
 
 
+# zero_range gives every family's range from its Jacobi matrix; the tests
+# below read its Laguerre floor, its Laguerre ceiling, its Gegenbauer and
+# Hermite radius and its degree-one tightness
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
 def test_laguerre_zero_floor_lies_below_every_zero(alpha):
     for m in range(1, 61):
-        floor = _laguerre_zero_floor(m, alpha)
+        floor = zero_range("laguerre", m, alpha)[0]
         assert floor < polynomial_zeros("laguerre", m, alpha).roots[0]
 
 
 def test_laguerre_zero_floor_is_tight_at_degree_one():
     # a 1 x 1 Jacobi matrix is its own zero; the margin keeps the floor below
     for alpha in (0.0, 7.0, 1e4):
-        floor = _laguerre_zero_floor(1, alpha)
+        floor = zero_range("laguerre", 1, alpha)[0]
         assert floor < alpha + 1.0 and floor >= (alpha + 1.0) * (1.0 - 2e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
 def test_laguerre_zero_ceiling_lies_above_every_zero(alpha):
     for m in range(1, 61):
-        ceiling = _laguerre_zero_ceiling(m, alpha)
+        ceiling = zero_range("laguerre", m, alpha)[1]
         assert ceiling > polynomial_zeros("laguerre", m, alpha).roots[-1]
-    assert alpha + 1.0 < _laguerre_zero_ceiling(1, alpha) <= (alpha + 1.0) * (1.0 + 2e-9)
+    assert alpha + 1.0 < zero_range("laguerre", 1, alpha)[1] <= (alpha + 1.0) * (1.0 + 2e-9)
+
+
+def _check_symmetric_zero_range(m, zeros, lo, hi):
+    # a zero diagonal gives a range symmetric about 0, of radius 0 at m = 1
+    assert lo == -hi
+    assert max(abs(z) for z in zeros) <= hi
+    if m == 1:
+        assert (lo, hi) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 5.0, 37.5, 300.0, 2000.0, 1e4])
 def test_gegenbauer_zero_radius_bounds_every_zero(alpha):
     for m in range(1, 61):
-        radius = _gegenbauer_zero_radius(m, alpha)
-        assert max(abs(z) for z in polynomial_zeros("gegenbauer", m, alpha).roots) <= radius
-    assert _gegenbauer_zero_radius(1, alpha) == 0.0
+        _check_symmetric_zero_range(m, polynomial_zeros("gegenbauer", m, alpha).roots,
+                                    *zero_range("gegenbauer", m, alpha))
+
+
+def test_hermite_zero_radius_bounds_every_zero():
+    for m in range(1, 61):
+        _check_symmetric_zero_range(m, hermite_zeros(m).roots,
+                                    *zero_range("hermite", m, None))
 
 
 @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
@@ -485,4 +539,15 @@ def test_overflowing_jacobi_matrix_raises(family):
             polynomial_zeros(family, 3, alpha)
         if family == "gegenbauer":
             with pytest.raises(RuntimeError, match="overflows"):
-                _gegenbauer_zero_radius(3, alpha)
+                zero_range("gegenbauer", 3, alpha)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
+def test_zero_certificate_rejects_non_finite_values(family):
+    # at alpha = 1e12 and m = 60 the recurrence overflows between the zeros
+    # and every midpoint value is NaN, whose sign np.sign leaves NaN: a bare
+    # sign test would pass it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="not separated by finite sign changes"):
+            polynomial_zeros(family, 60, 1e12)
