@@ -15,16 +15,16 @@ estimate is at most ``tol_rel``.  Routing equalities (lambda = 1,
 kappa = 2, c = d) hold to 1e-12 relative.
 
 Shannon-type integrals are 2 d/dkappa of the power-type ones at kappa = 2.
-In every family the log-prefactor is linear in kappa with slope ell / 2, so
-the k-th Shannon term is ell t_k + 2 dt_k/dkappa, with ell exact and t_k the
-dimensionless power-type term; ``_shannon_terms`` builds it.  The Shannon
-kind runs its family's Renyi code at kappa = 2 and asks the ladder build for
-the exact kappa-derivative alongside the values (``dkappa=True`` in
-``coeffs``).  No step size is involved; the branch tags keep the name
-``*_shannon_fd`` because the benchmark's branch checks read them.  The
-extended family takes (t_k, dt_k/dkappa) from the printed coefficients for
-K <= 1, its Shannon default (tag ``laplace_shannon_analytic``), and from the
-numeric amplitude above that.
+Each ladder family writes its log-prefactor once, as log_rest + kappa slope,
+and its dimensionless terms t_k; ``_ladder`` builds the result of either
+kind from them.  The k-th Shannon term is ell t_k + 2 dt_k/dkappa with
+ell = 2 slope, the exact kappa-derivative coming from the same ladder build
+(``dkappa=True`` in ``coeffs``).  No step size is involved; the branch tags
+keep the name ``*_shannon_fd`` because the benchmark's branch checks read
+them.  The extended family takes (t_k, dt_k/dkappa) from the printed
+coefficients for K <= 1, its Shannon default (tag
+``laplace_shannon_analytic``), and from the numeric amplitude above that.
+Every term c_k / alpha^k comes from ``series._over_powers``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import math
 from dataclasses import dataclass, replace
 
 from . import coeffs, oracle
-from .closedforms import log_factorial, log_gamma, pochhammer
+from .closedforms import (geg22_value, geg31_value, lag24_value, log_factorial,
+                          log_gamma, more15_value, more24_value, pochhammer)
 from .functional import Functional, Kind
 from .logvalue import LogValue
 from .orthopoly import hermite_value
-from .series import _over_power, laplace_terms
+from .series import _over_powers, laplace_terms
 
 K_MAX = 7
 TOL_REL = 1e-10
@@ -120,31 +121,32 @@ def _no_expansion(F: Functional) -> bool:
     return F.kind is Kind.EXT_LAG_SHANNON and _close(F.lam, 1.0)
 
 
-def _shannon_terms(ell: float, t, dt) -> list[float]:
-    """Shannon terms from the Renyi terms t_k and their kappa-derivatives:
-    2 d/dkappa [P(kappa) t_k(kappa)] / P(2), where log P is linear in kappa
-    with slope ell / 2."""
-    return [ell * a + 2.0 * b for a, b in zip(t, dt)]
+def _ladder(F: Functional, force: bool, log_rest: float, slope: float,
+            build, tags: tuple[str, str]) -> ExpansionResult:
+    """A ladder result under the prefactor exp(log_rest + kappa slope).
+
+    ``build(dkappa)`` gives the dimensionless terms t_k, or with ``dkappa``
+    the pair (t_k, dt_k/dkappa).  The Renyi kind is judged on t_k, branch
+    ``tags[0]``.  The Shannon kind, 2 d/dkappa [P(kappa) t_k(kappa)] / P(2),
+    keeps every ell t_k + 2 dt_k/dkappa with ell = 2 slope, branch
+    ``tags[1]``."""
+    pref = LogValue.from_log(log_rest + F.kappa * slope)
+    if not F.kind.is_shannon:
+        return _assemble(pref, build(False), tags[0], force)
+    t, dt = build(True)
+    return _assemble(pref, [2.0 * slope * a + 2.0 * b for a, b in zip(t, dt)],
+                     tags[1], force_truncation=True)
 
 
 # ---------------------------------------------------------------------------
 # plain Laguerre family (Watson's-lemma ladder)
 # ---------------------------------------------------------------------------
 
-def _lag_prefactor_log(m: int, alpha: float, mu: float, lam: float,
-                       kappa: float) -> float:
-    return (kappa * m * math.log(alpha) + log_gamma(mu)
-            - mu * math.log(lam) - kappa * log_factorial(m))
-
-
-def _lag_grouped_terms(c, alpha: float, K: int) -> list[float]:
+def _lag_grouped_terms(c, alpha: float) -> list[float]:
     """Terms grouped so the k-th entry carries the alpha^(-k) content:
     the ladder coefficients come in pairs C_{2k-1}, C_{2k} of equal order."""
-    terms = [c[0]]
-    for k in range(1, K + 1):
-        terms.append(_over_power(c[2 * k - 1], alpha, 2 * k - 1)
-                     + _over_power(c[2 * k], alpha, 2 * k))
-    return terms
+    t = _over_powers(c, alpha)
+    return [t[0]] + [t[k] + t[k + 1] for k in range(1, len(t) - 1, 2)]
 
 
 def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
@@ -152,21 +154,18 @@ def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
     (lam^mu (m!)^kappa) times the rearranged Watson ladder."""
     force = K is not None
     K = _depth(K)
-    shannon = F.kind.is_shannon
-    pref = LogValue.from_log(_lag_prefactor_log(F.m, F.alpha, F.mu, F.lam,
-                                                F.kappa))
-    if shannon and F.m == 0:
-        return _assemble(pref, [0.0] * (K + 1), "watson_shannon_zero",
-                         force_truncation=True)
-    ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, F.m, F.alpha, 2 * K,
-                                 dkappa=shannon)
-    t = _lag_grouped_terms(ladder.values, F.alpha, K)
-    if not shannon:
-        return _assemble(pref, t, "watson", force)
-    ell = 2 * F.m * math.log(F.alpha) - 2.0 * log_factorial(F.m)
-    dt = _lag_grouped_terms(ladder.dkappa, F.alpha, K)
-    return _assemble(pref, _shannon_terms(ell, t, dt), "watson_shannon_fd",
-                     force_truncation=True)
+    m, alpha = F.m, F.alpha
+    log_rest = log_gamma(F.mu) - F.mu * math.log(F.lam)
+    if F.kind.is_shannon and m == 0:
+        return _assemble(LogValue.from_log(log_rest), [0.0] * (K + 1),
+                         "watson_shannon_zero", force_truncation=True)
+
+    def build(dkappa):
+        ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, m, alpha, 2 * K, dkappa)
+        t = _lag_grouped_terms(ladder.values, alpha)
+        return (t, _lag_grouped_terms(ladder.dkappa, alpha)) if dkappa else t
+    return _ladder(F, force, log_rest, m * math.log(alpha) - log_factorial(m),
+                   build, ("watson", "watson_shannon_fd"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +174,6 @@ def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
 
 def _geg_phase_min(c: float, d: float) -> float:
     return (-c * math.log(2.0 * c / (c + d)) - d * math.log(2.0 * d / (c + d)))
-
-
-def _geg_prefactor_log(m: int, alpha: float, c: float, d: float,
-                       kappa: float) -> float:
-    poch = pochhammer(alpha, m)
-    return (-alpha * _geg_phase_min(c, d)
-            + 0.5 * math.log(2.0 * math.pi / alpha)
-            + kappa * m * math.log(2.0) + kappa * poch.log_abs
-            - kappa * log_factorial(m))
 
 
 def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
@@ -212,10 +202,9 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
             pref = LogValue.from_log(0.5 * math.log(math.pi / alpha)
                                      + m * math.log(2.0 * alpha)
                                      - log_factorial(m))
-            terms = [1.0]
-            if K >= 1:
-                terms.append(coeffs.geg_sym_D1(F.a, F.b, m) / alpha)
-            return _assemble(pref, terms, "symmetric_kappa2", force)
+            terms = [1.0, coeffs.geg_sym_D1(F.a, F.b, m)][:K + 1]
+            return _assemble(pref, _over_powers(terms, alpha), "symmetric_kappa2",
+                             force)
         q = oracle.hermite_power_integral(m, kappa, alpha)
         pref = LogValue.from_log(0.5 * kappa * m * math.log(alpha)
                                  - 0.5 * math.log(2.0)
@@ -227,31 +216,20 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
                           K if force else None)
         return replace(res, branch="laplace_swapped_shannon" if shannon
                        else "laplace_swapped")
-    pref = LogValue.from_log(_geg_prefactor_log(m, alpha, F.c, F.d, kappa))
-    ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K,
-                                 dkappa=shannon)
-    t = [_over_power(v, alpha, k) for k, v in enumerate(ladder.values)]
-    if not shannon:
-        return _assemble(pref, t, "laplace_cd", force)
-    ell = (2 * m * math.log(2.0) + 2.0 * pochhammer(alpha, m).log_abs
-           - 2.0 * log_factorial(m))
-    dt = [_over_power(v, alpha, k) for k, v in enumerate(ladder.dkappa)]
-    return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
-                     force_truncation=True)
+
+    def build(dkappa):
+        ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K, dkappa)
+        t = _over_powers(ladder.values, alpha)
+        return (t, _over_powers(ladder.dkappa, alpha)) if dkappa else t
+    log_rest = -alpha * _geg_phase_min(F.c, F.d) + 0.5 * math.log(2.0 * math.pi / alpha)
+    slope = m * math.log(2.0) + pochhammer(alpha, m).log_abs - log_factorial(m)
+    return _ladder(F, force, log_rest, slope, build,
+                   ("laplace_cd", "laplace_shannon_fd"))
 
 
 # ---------------------------------------------------------------------------
 # extended Laguerre family (mu = alpha + sigma)
 # ---------------------------------------------------------------------------
-
-def _ext_prefactor_log(m: int, alpha: float, sigma: float, lam: float,
-                       kappa: float) -> float:
-    return ((alpha + sigma) * math.log(alpha) - alpha
-            - (alpha + sigma + kappa * m) * math.log(lam)
-            + kappa * m * math.log(abs(lam - 1.0))
-            + 0.5 * math.log(2.0 * math.pi / alpha)
-            + kappa * m * math.log(alpha) - kappa * log_factorial(m))
-
 
 def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
     """Extended Laguerre integrals (weight x^(alpha+sigma-1)).
@@ -281,29 +259,30 @@ def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
                                  - kappa * log_factorial(m)) * q.value
         return _assemble(pref, [1.0], "hermite_limit_power",
                          force_truncation=True)
-    pref = LogValue.from_log(_ext_prefactor_log(m, alpha, sigma, lam, kappa))
-    if not shannon:
-        amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K)
-        return _assemble(pref, laplace_terms(amp, alpha, K),
-                         "laplace_lambda_ne1", force)
-    if m == 0:
-        return _assemble(pref, [0.0] * (K + 1), "laplace_shannon_zero",
-                         force_truncation=True)
-    ell = (2.0 * m * (math.log(alpha) + math.log(abs(lam - 1.0))
-                      - math.log(lam)) - 2.0 * log_factorial(m))
-    if K <= 1:
-        d = [coeffs.ext_lag_D(k, sigma, lam, kappa, m) for k in range(K + 1)]
-        dp = [coeffs.ext_lag_D_kappa_derivative(k, sigma, lam, kappa, m)
-              for k in range(K + 1)]
-        terms = [_over_power(s, alpha, k)
-                 for k, s in enumerate(_shannon_terms(ell, d, dp))]
-        return _assemble(pref, terms, "laplace_shannon_analytic",
-                         force_truncation=True)
-    amp, damp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K,
-                                         dkappa=True)
-    t, dt = laplace_terms(amp, alpha, K), laplace_terms(damp, alpha, K)
-    return _assemble(pref, _shannon_terms(ell, t, dt), "laplace_shannon_fd",
-                     force_truncation=True)
+    log_rest = ((alpha + sigma) * math.log(alpha) - alpha
+                - (alpha + sigma) * math.log(lam)
+                + 0.5 * math.log(2.0 * math.pi / alpha))
+    if shannon and m == 0:
+        return _assemble(LogValue.from_log(log_rest), [0.0] * (K + 1),
+                         "laplace_shannon_zero", force_truncation=True)
+    slope = (m * ((math.log(alpha) + math.log(abs(lam - 1.0))) - math.log(lam))
+             - log_factorial(m))
+    printed = shannon and K <= 1
+
+    def build(dkappa):
+        if printed:
+            return tuple(_over_powers([D(k, sigma, lam, kappa, m)
+                                       for k in range(K + 1)], alpha)
+                         for D in (coeffs.ext_lag_D,
+                                   coeffs.ext_lag_D_kappa_derivative))
+        amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K,
+                                       dkappa=dkappa)
+        if not dkappa:
+            return laplace_terms(amp, alpha, K)
+        return tuple(laplace_terms(a, alpha, K) for a in amp)
+    return _ladder(F, force, log_rest, slope, build,
+                   ("laplace_lambda_ne1", "laplace_shannon_analytic" if printed
+                    else "laplace_shannon_fd"))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +403,12 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
 
 def closed_form_value(F: Functional) -> LogValue:
     """Exact closed-form value, where one is known for the parameter choice."""
-    from . import closedforms as cf
-
     m, alpha = F.m, F.alpha
     if F.kind is Kind.LAG_RENYI:
         if m == 0:
             return LogValue.from_log(log_gamma(F.mu) - F.mu * math.log(F.lam))
         if _close(F.kappa, 2.0) and _close(F.lam, 1.0):
-            return cf.lag24_value(m, alpha, F.mu)
+            return lag24_value(m, alpha, F.mu)
     elif F.kind is Kind.GEG_RENYI:
         if m == 0:
             log_val = ((F.c + F.d) * alpha + F.a + F.b + 1.0) * math.log(2.0) \
@@ -442,18 +419,18 @@ def closed_form_value(F: Functional) -> LogValue:
         if (_close(F.kappa, 2.0) and _close(F.a, -0.5)
                 and _close(F.b, 2 * m - 1.5) and _close(F.c, 1.0)
                 and _close(F.d, 3.0)):
-            return cf.geg22_value(m, alpha)
+            return geg22_value(m, alpha)
         if (_close(F.kappa, 2.0) and _close(F.a, -0.5) and _close(F.b, -1.5)
                 and _close(F.c, 1.0) and _close(F.d, 1.0)):
-            return cf.geg31_value(m, alpha)
+            return geg31_value(m, alpha)
     elif F.kind is Kind.EXT_LAG_RENYI:
         if m == 0:
             return LogValue.from_log(log_gamma(alpha + F.sigma)
                                      - (alpha + F.sigma) * math.log(F.lam))
         if _close(F.kappa, 2.0) and _close(F.sigma, 1.0):
             if _close(F.lam, 1.0):
-                return cf.more24_value(m, alpha)
-            return cf.more15_value(m, alpha, F.lam)
+                return more24_value(m, alpha)
+            return more15_value(m, alpha, F.lam)
     elif F.kind.is_shannon and m == 0:
         return LogValue.zero()
     raise ValueError(f"no closed form known for {F.params_dict()}")

@@ -81,6 +81,9 @@ def hyper_terminating(h: HyperTerm) -> LogValue:
     terms = []
     t = 1.0
     for j in range(n_stop + 1):
+        if not math.isfinite(t):
+            raise OverflowError("terminating series term overflows double "
+                                "precision")
         terms.append(t)
         num = 1.0
         for u in h.upper:

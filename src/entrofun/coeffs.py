@@ -38,7 +38,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .series import Series, _double_factorial_odd, series_log, series_pow
+from .series import (Series, _double_factorial_odd, _overflow, series_log,
+                     series_pow)
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,17 @@ def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
     if dkappa:
         A, dA = A
     B, dB = _lag_B_table(mu, lam, kappa, m, k_max, dkappa)
-    values = tuple(math.fsum([A[j] * B[j][k - j] for j in range(k + 1)])
-                   for k in range(k_max + 1))
-    derivs = None
-    if dkappa:
-        derivs = tuple(
-            math.fsum([dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
-                       for j in range(k + 1)])
-            for k in range(k_max + 1))
+    try:
+        values = tuple(math.fsum([A[j] * B[j][k - j] for j in range(k + 1)])
+                       for k in range(k_max + 1))
+        derivs = None
+        if dkappa:
+            derivs = tuple(
+                math.fsum([dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
+                           for j in range(k + 1)])
+                for k in range(k_max + 1))
+    except ValueError:
+        raise _overflow() from None
     return CoeffLadder(values, dkappa=derivs)
 
 
@@ -320,9 +324,12 @@ def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
 
 def _gaussian_moments(A, amps, k_max: int) -> tuple[float, ...]:
     """sum_{j<=k} A_j [y^(2(k-j))] amp_j (2(k-j)-1)!! for k = 0..k_max."""
-    return tuple(math.fsum([
-        A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
-        for j in range(k + 1)]) for k in range(k_max + 1))
+    try:
+        return tuple(math.fsum([
+            A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
+            for j in range(k + 1)]) for k in range(k_max + 1))
+    except ValueError:
+        raise _overflow() from None
 
 
 def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,

@@ -13,7 +13,7 @@ from entrofun.asymptotics import (_EVALUATORS, K_MAX, ExpansionResult,
                                   hermite_type_gegenbauer,
                                   hermite_type_laguerre, optimal_truncation)
 from entrofun.closedforms import (geg31_value, lag24_value, log_gamma,
-                                  more15_value, more24_value)
+                                  more15_value, more24_value, pochhammer)
 from entrofun.coeffs import ext_lag_D, lag_D
 from entrofun.functional import Functional
 from entrofun.logvalue import LogValue
@@ -421,6 +421,83 @@ def test_evaluators_share_one_signature():
         params = list(inspect.signature(fn).parameters.values())
         assert [p.name for p in params] == ["F", "K"], fn
         assert params[1].default is None, fn
+
+
+# The three ladder prefactors as the evaluators once wrote them, kappa spread
+# through each sum, and each family's ell = 2 d log P / d kappa written out
+# by hand.  The evaluators now give log P as log_rest + kappa slope, with
+# ell = 2 slope.
+def _ref_lag_prefactor_log(F):
+    m, alpha, kappa = F.m, F.alpha, F.kappa
+    return (kappa * m * math.log(alpha) + math.lgamma(F.mu)
+            - F.mu * math.log(F.lam) - kappa * math.lgamma(m + 1))
+
+
+def _ref_geg_prefactor_log(F):
+    m, alpha, c, d, kappa = F.m, F.alpha, F.c, F.d, F.kappa
+    phase_min = (-c * math.log(2.0 * c / (c + d))
+                 - d * math.log(2.0 * d / (c + d)))
+    return (-alpha * phase_min + 0.5 * math.log(2.0 * math.pi / alpha)
+            + kappa * m * math.log(2.0) + kappa * pochhammer(alpha, m).log_abs
+            - kappa * math.lgamma(m + 1))
+
+
+def _ref_ext_prefactor_log(F):
+    m, alpha, sigma, lam, kappa = F.m, F.alpha, F.sigma, F.lam, F.kappa
+    return ((alpha + sigma) * math.log(alpha) - alpha
+            - (alpha + sigma + kappa * m) * math.log(lam)
+            + kappa * m * math.log(abs(lam - 1.0))
+            + 0.5 * math.log(2.0 * math.pi / alpha)
+            + kappa * m * math.log(alpha) - kappa * math.lgamma(m + 1))
+
+
+def _ref_lag_ell(F):
+    return 2 * F.m * math.log(F.alpha) - 2.0 * math.lgamma(F.m + 1)
+
+
+_PREFACTORS = {
+    "lag_renyi": (lambda m, alpha, kappa:
+                  Functional.lag_renyi(m, alpha, 2.5, 1.5, kappa),
+                  _ref_lag_prefactor_log, _ref_lag_ell),
+    "geg_renyi": (lambda m, alpha, kappa:
+                  Functional.geg_renyi(m, alpha, -0.5, 0.5, 1.0, 3.0, kappa),
+                  _ref_geg_prefactor_log,
+                  lambda F: (2 * F.m * math.log(2.0)
+                             + 2.0 * pochhammer(F.alpha, F.m).log_abs
+                             - 2.0 * math.lgamma(F.m + 1))),
+    "ext_renyi": (lambda m, alpha, kappa:
+                  Functional.ext_renyi(m, alpha, 1.0, 2.0, kappa),
+                  _ref_ext_prefactor_log,
+                  lambda F: (2.0 * F.m * (math.log(F.alpha)
+                                          + math.log(abs(F.lam - 1.0))
+                                          - math.log(F.lam))
+                             - 2.0 * math.lgamma(F.m + 1))),
+}
+
+
+@pytest.mark.parametrize("alpha", [200.0, 2e4])
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("family", sorted(_PREFACTORS))
+def test_ladder_prefactor_is_linear_in_kappa(family, m, alpha):
+    # log P(kappa) is today's prefactor to rounding, and its kappa-slope is
+    # ell / 2, the factor the Shannon terms take
+    make, ref_log, ref_ell = _PREFACTORS[family]
+    logs = {}
+    for kappa in (0.5, 2.0, 3.7):
+        F = make(m, alpha, kappa)
+        logs[kappa] = evaluate_asymptotic(F, 0).prefactor.log_abs
+        want = ref_log(F)
+        assert abs(logs[kappa] - want) <= 4 * math.ulp(max(abs(want), 1.0))
+    slope = (logs[3.7] - logs[0.5]) / 3.2
+    assert slope == pytest.approx(ref_ell(F) / 2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [200.0, 2e4])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_laguerre_shannon_leading_term_is_ell(m, alpha):
+    # C_0 = 1 with dC_0/dkappa = 0, so the K = 0 Shannon term is ell itself
+    F = Functional.lag_shannon(m, alpha, 2.5, 1.5)
+    assert evaluate_asymptotic(F, 0).terms == (_ref_lag_ell(F),)
 
 
 def test_explicit_K_keeps_every_term():

@@ -170,10 +170,20 @@ def test_eval_rejects_infinite_alpha(capsys, method):
     assert json.loads(err) == {"error": "alpha must be finite, got inf"}
 
 
-def test_eval_reports_overflow(capsys):
-    code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "1e308")
+@pytest.mark.parametrize("argv, where", [
+    (_I1_M2, ""),
+    # the Gegenbauer Laplace moment sums meet inf - inf
+    (("--kind", "i3", "--m", "3", "--a", "0", "--b", "0", "--c", "1", "--d", "3",
+      "--kappa", "2"), "alpha = 1e+308"),
+    # the terms of the terminating 3F2 overflow
+    (_I1_M2 + ("--method", "closed"), ""),
+], ids=["i1_asym", "i3_asym", "i1_closed"])
+def test_eval_reports_overflow(capsys, argv, where):
+    code, out, err = run_cli(capsys, "eval", *argv, "--alpha", "1e308")
     assert code == 2 and out == ""
-    assert json.loads(err)["type"] == "OverflowError"
+    doc = json.loads(err)
+    assert doc["type"] == "OverflowError"
+    assert where in doc["error"]
 
 
 def test_sweep_reports_overflow_rows(capsys):

@@ -85,6 +85,13 @@ def test_lag24_degenerate_rejected():
         lag24_value(3, 2.0, 4.0)
 
 
+def test_lag24_overflowing_terms_raise():
+    # the 3F2 term ratio is inf / -inf at alpha = 1e308: a named overflow,
+    # not a NaN handed to LogValue
+    with pytest.raises(OverflowError, match="terminating series term"):
+        lag24_value(2, 1e308, 2.5)
+
+
 def test_more24_m0():
     assert more24_value(0, 17.0).rel_diff(
         LogValue.from_log(log_gamma(18.0))) <= 1e-15
