@@ -466,10 +466,8 @@ def _build(env: _Envelope, log_w: Callable, value: Callable):
     kappa, shannon, shift = env.kappa, env.shannon, env.log_top - log_pref
 
     def integrand(x, lo, hi, dist_lo, dist_hi):
-        p = value(x)
-        logp = np.full(p.shape, -np.inf)
-        nz = p != 0.0
-        logp[nz] = np.log(np.abs(p[nz]))
+        with np.errstate(divide="ignore"):      # log 0 = -inf at a zero of p
+            logp = np.log(np.abs(value(x)))
         core = log_w(x, lo, hi, dist_lo, dist_hi) + kappa * logp + shift
         if not shannon:
             return np.exp(core)

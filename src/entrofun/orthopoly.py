@@ -10,12 +10,14 @@ float comes back 0-d, and the argument is never written.
 The m zeros of each family are the eigenvalues of the m x m symmetric
 tridiagonal Jacobi matrix of its orthonormal recurrence (Golub and Welsch,
 Math. Comp. 23, 1969), made by one builder.  numpy's ``eigvalsh`` gives them
-to about machine precision times the matrix norm; a few Newton steps, each
-taking f / f' from the pair (p_m, p_(m-1)) of one recurrence through the
-family's derivative identity, bring every zero to within rounding of the
-polynomial's own values.  The result is certified by finite sign changes of
-the polynomial between consecutive zeros; a failed certificate, or a Jacobi
-matrix whose entries overflow double precision, raises ``RuntimeError``.
+to about machine precision times the matrix norm.  One recurrence over the
+eigenvalues and their midpoints gives the pair (p_m, p_(m-1)) that both later
+stages read: a single Newton step per eigenvalue, f / f' through the
+family's derivative identity, which leaves an error of about
+(m - 1) / gap * (eps ||J||)^2, and the certificate, finite sign changes of
+the polynomial at the midpoints around every zero.  A failed certificate, or
+a Jacobi matrix whose entries overflow double precision, raises
+``RuntimeError``.
 ``zero_range`` bounds the zeros without a solve: one Gershgorin range.
 """
 
@@ -139,38 +141,33 @@ def zero_range(family: str, m: int, alpha: float) -> tuple[float, float]:
     return lo - 1e-9 * abs(lo), hi + 1e-9 * abs(hi)
 
 
-def _jacobi_roots(diag, off, f, ratio) -> tuple[float, ...]:
-    """The zeros of an orthogonal polynomial ``f``, in increasing order,
-    from its Jacobi matrix's diagonal ``diag`` and off-diagonal ``off``.
+def _jacobi_roots(diag, off, pair, ratio) -> tuple[float, ...]:
+    """The zeros of an orthogonal polynomial, in increasing order, from its
+    Jacobi matrix's diagonal ``diag`` and off-diagonal ``off``.
 
-    Each eigenvalue is polished by Newton steps ``ratio(x) = f(x) / f'(x)``
-    that stay between the midpoints to its neighbouring eigenvalues.  A root
-    stops when its step falls to 4e-16 relative or stops shrinking: near
-    large-parameter zeros the rounding noise of the recurrence keeps the
-    step from ever reaching 4e-16.  numpy's floating-point warnings are off;
-    the certificate judges: the roots must be strictly increasing and ``f``
-    finite and alternating in sign across the midpoints between them.
+    ``pair(x)`` gives (p_m(x), p_(m-1)(x)) from one recurrence and
+    ``ratio(x, p, q)`` the Newton step p_m / p_m' from those values.  One
+    ``pair`` call covers the eigenvalues and the midpoints between them.
+    Each eigenvalue takes one Newton step, kept only where it lands strictly
+    between the midpoints to its neighbours: ``eigvalsh`` is accurate to
+    about eps ||J||, so one step leaves an error of about
+    (m - 1) / gap * (eps ||J||)^2, below the rounding noise of the
+    recurrence.  numpy's floating-point warnings are off; the certificate
+    judges: every root must lie strictly between its midpoints (so the roots
+    increase strictly) and p_m be finite, nonzero and alternating in sign
+    across the midpoints, so each root sits in a bracket whose ends change
+    sign.
     """
     with np.errstate(all="ignore"):
         x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        mid = 0.5 * (x[:-1] + x[1:])
-        lo = np.concatenate(([-np.inf], mid))
-        hi = np.concatenate((mid, [np.inf]))
-        step = np.full(x.shape, np.inf)
-        active = np.arange(x.size)
-        for _ in range(50):     # a backstop; the certificate below judges the result
-            xa = x[active]
-            new = xa - ratio(xa)
-            new_step = np.abs(new - xa)
-            take = (lo[active] < new) & (new < hi[active]) & (new_step < step[active])
-            x[active[take]] = new[take]
-            step[active[take]] = new_step[take]
-            active = active[take & (new_step > 4e-16 * np.maximum(1.0, np.abs(new)))]
-            if active.size == 0:
-                break
-        vals = f(0.5 * (x[:-1] + x[1:]))
+        m, mid = x.size, 0.5 * (x[:-1] + x[1:])
+        p, q = pair(np.concatenate((x, mid)))
+        new = x - ratio(x, p[:m], q[:m])
+        lo, hi = np.concatenate(([-np.inf], mid)), np.concatenate((mid, [np.inf]))
+        x = np.where((lo < new) & (new < hi), new, x)
+        vals = p[m:]
     signs = np.sign(vals)
-    if not ((np.diff(x) > 0.0).all() and (np.isfinite(vals) & (signs != 0.0)).all()
+    if not (((lo < x) & (x < hi)).all() and (np.isfinite(vals) & (signs != 0.0)).all()
             and (signs[:-1] != signs[1:]).all()):
         raise RuntimeError(f"polished zeros {x.tolist()} are not separated by "
                            f"finite sign changes")
@@ -178,23 +175,19 @@ def _jacobi_roots(diag, off, f, ratio) -> tuple[float, ...]:
 
 
 def _zeros(family: str, m: int, alpha: float | None) -> ZeroSet:
-    """The m zeros of the degree-m ``family`` polynomial; callers check inputs."""
-    pair = {"laguerre": lambda x: _laguerre_pair(m, alpha, x),
-            "gegenbauer": lambda x: _gegenbauer_pair(m, alpha, x),
-            "hermite": lambda x: _hermite_pair(m, x)}[family]
-
-    def ratio(x):
-        p, q = pair(x)
-        if family == "laguerre":
-            # x L_m' = m L_m - (m + alpha) L_(m-1)
-            return x * p / (m * p - (m + alpha) * q)
-        if family == "gegenbauer":
-            # (1 - x^2) C_m' = (m + 2 alpha - 1) C_(m-1) - m x C_m
-            return (1.0 - x) * (1.0 + x) * p / ((m + 2.0 * alpha - 1.0) * q - m * x * p)
-        # H_m' = 2 m H_(m-1)
-        return p / (2.0 * m * q)
-    return ZeroSet(_jacobi_roots(*_jacobi(family, m, alpha), lambda x: pair(x)[0],
-                                 ratio), m)
+    """The m zeros of the degree-m ``family`` polynomial; callers check inputs.
+    The Newton ratio f / f' comes from the pair through the family's
+    derivative identity: x L_m' = m L_m - (m + alpha) L_(m-1),
+    (1 - x^2) C_m' = (m + 2 alpha - 1) C_(m-1) - m x C_m and H_m' = 2 m H_(m-1)."""
+    pair, ratio = {
+        "laguerre": (lambda x: _laguerre_pair(m, alpha, x),
+                     lambda x, p, q: x * p / (m * p - (m + alpha) * q)),
+        "gegenbauer": (lambda x: _gegenbauer_pair(m, alpha, x),
+                       lambda x, p, q: (1.0 - x) * (1.0 + x) * p
+                       / ((m + 2.0 * alpha - 1.0) * q - m * x * p)),
+        "hermite": (lambda x: _hermite_pair(m, x), lambda x, p, q: p / (2.0 * m * q)),
+    }[family]
+    return ZeroSet(_jacobi_roots(*_jacobi(family, m, alpha), pair, ratio), m)
 
 
 def polynomial_zeros(family: str, m: int, alpha: float) -> ZeroSet:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entrofun import orthopoly
 from entrofun.orthopoly import (MAX_DEGREE, _check_degree, _gegenbauer_pair,
                                 _hermite_pair, _jacobi_roots, _laguerre_pair,
                                 gegenbauer_value, hermite_value, hermite_zeros,
@@ -439,7 +440,13 @@ def test_hermite_zero_sets(m):
 
 
 @pytest.mark.parametrize("family,m,alpha", [
-    ("gegenbauer", 60, 1e4), ("laguerre", 60, 1e4), ("hermite", 60, None)])
+    ("gegenbauer", 60, 1e4), ("laguerre", 60, 1e4), ("hermite", 60, None),
+    # the corners of the single Newton step: small and huge alpha, the
+    # degree-56 oracle case, and the tightest gaps relative to the norm
+    ("laguerre", 56, 2.66054504612815), ("laguerre", 60, 1e-3), ("laguerre", 10, 0.5),
+    ("laguerre", 60, 50.0), ("laguerre", 30, 1e6), ("laguerre", 60, 1e8),
+    ("gegenbauer", 60, 0.6), ("gegenbauer", 31, 3.0), ("gegenbauer", 60, 50.0),
+    ("gegenbauer", 60, 1e8), ("hermite", 7, None)])
 def test_zeros_match_high_precision_eigenvalues(family, m, alpha):
     # The zeros are the eigenvalues of the symmetric tridiagonal Jacobi
     # matrix; at 40 digits its eigenvalues are exact to double precision.
@@ -465,13 +472,32 @@ def test_zeros_match_high_precision_eigenvalues(family, m, alpha):
 
 
 def test_zeros_certificate_rejects_foreign_matrix():
-    # Jacobi matrix of H_5 paired with L_5^(2): the polished points are not
-    # separated by sign changes of the polynomial
+    # Jacobi matrix of H_5 paired with L_5^(2): the midpoints between its
+    # eigenvalues are not separated by sign changes of the polynomial
     m = 5
     with pytest.raises(RuntimeError):
         _jacobi_roots(np.zeros(m), np.sqrt(np.arange(1, m) / 2.0),
-                      lambda x: laguerre_value(m, 2.0, x),
-                      lambda x: laguerre_value(m, 2.0, x) / -laguerre_value(m - 1, 3.0, x))
+                      lambda x: _laguerre_pair(m, 2.0, x),
+                      lambda x, p, q: x * p / (m * p - (m + 2.0) * q))
+
+
+@pytest.mark.parametrize("m", [1, 2, 60])
+@pytest.mark.parametrize("solve", [
+    lambda m: polynomial_zeros("laguerre", m, 1e3),
+    lambda m: polynomial_zeros("gegenbauer", m, 1e3),
+    hermite_zeros], ids=["laguerre", "gegenbauer", "hermite"])
+def test_zero_solve_runs_one_recurrence(monkeypatch, solve, m):
+    # the Newton step and the certificate share one recurrence pass over the
+    # eigenvalues and their midpoints
+    calls = []
+    three_term = orthopoly._three_term
+
+    def counted(*args):
+        calls.append(args[0])
+        return three_term(*args)
+    monkeypatch.setattr(orthopoly, "_three_term", counted)
+    assert len(solve(m).roots) == m
+    assert calls == [m]
 
 
 def test_zero_degree_rejected():
