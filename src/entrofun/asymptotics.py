@@ -24,7 +24,9 @@ keep the name ``*_shannon_fd`` because the benchmark's branch checks read
 them.  The extended family takes (t_k, dt_k/dkappa) from the printed
 coefficients for K <= 1, its Shannon default (tag
 ``laplace_shannon_analytic``), and from the numeric amplitude above that.
-Every term c_k / alpha^k comes from ``series._over_powers``.
+The numeric ladders come from ``coeffs`` as their terms c_k / alpha^k; the
+two-term printed ones take their one 1/alpha here.  A nonzero result whose
+log is not finite raises the named ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -35,18 +37,13 @@ from dataclasses import dataclass, replace
 from . import coeffs, oracle
 from .closedforms import (geg22_value, geg31_value, lag24_value, log_factorial,
                           log_gamma, more15_value, more24_value, pochhammer)
-from .functional import Functional, Kind
+from .functional import Functional, Kind, _close
 from .logvalue import LogValue
 from .orthopoly import hermite_value
-from .series import _over_powers, laplace_terms
+from .series import laplace_terms
 
 K_MAX = 7
 TOL_REL = 1e-10
-
-
-def _close(u: float, v: float) -> bool:
-    """The routing equality: u and v agree to 1e-12 relative."""
-    return abs(u - v) <= 1e-12 * max(abs(u), abs(v))
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,9 @@ def _ladder(F: Functional, force: bool, log_rest: float, slope: float,
 # plain Laguerre family (Watson's-lemma ladder)
 # ---------------------------------------------------------------------------
 
-def _lag_grouped_terms(c, alpha: float) -> list[float]:
+def _lag_grouped_terms(t) -> list[float]:
     """Terms grouped so the k-th entry carries the alpha^(-k) content:
-    the ladder coefficients come in pairs C_{2k-1}, C_{2k} of equal order."""
-    t = _over_powers(c, alpha)
+    the ladder terms come in pairs C_{2k-1}, C_{2k} of equal order."""
     return [t[0]] + [t[k] + t[k + 1] for k in range(1, len(t) - 1, 2)]
 
 
@@ -162,8 +158,8 @@ def _laguerre(F: Functional, K: int | None = None) -> ExpansionResult:
 
     def build(dkappa):
         ladder = coeffs.lag_C_ladder(F.mu, F.lam, F.kappa, m, alpha, 2 * K, dkappa)
-        t = _lag_grouped_terms(ladder.values, alpha)
-        return (t, _lag_grouped_terms(ladder.dkappa, alpha)) if dkappa else t
+        t = _lag_grouped_terms(ladder.values)
+        return (t, _lag_grouped_terms(ladder.dkappa)) if dkappa else t
     return _ladder(F, force, log_rest, m * math.log(alpha) - log_factorial(m),
                    build, ("watson", "watson_shannon_fd"))
 
@@ -202,9 +198,8 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
             pref = LogValue.from_log(0.5 * math.log(math.pi / alpha)
                                      + m * math.log(2.0 * alpha)
                                      - log_factorial(m))
-            terms = [1.0, coeffs.geg_sym_D1(F.a, F.b, m)][:K + 1]
-            return _assemble(pref, _over_powers(terms, alpha), "symmetric_kappa2",
-                             force)
+            terms = [1.0, coeffs.geg_sym_D1(F.a, F.b, m) / alpha][:K + 1]
+            return _assemble(pref, terms, "symmetric_kappa2", force)
         q = oracle.hermite_power_integral(m, kappa, alpha)
         pref = LogValue.from_log(0.5 * kappa * m * math.log(alpha)
                                  - 0.5 * math.log(2.0)
@@ -219,8 +214,7 @@ def _gegenbauer(F: Functional, K: int | None = None) -> ExpansionResult:
 
     def build(dkappa):
         ladder = coeffs.geg_C_ladder(F.a, F.b, F.c, F.d, kappa, m, alpha, K, dkappa)
-        t = _over_powers(ladder.values, alpha)
-        return (t, _over_powers(ladder.dkappa, alpha)) if dkappa else t
+        return (ladder.values, ladder.dkappa) if dkappa else ladder.values
     log_rest = -alpha * _geg_phase_min(F.c, F.d) + 0.5 * math.log(2.0 * math.pi / alpha)
     slope = m * math.log(2.0) + pochhammer(alpha, m).log_abs - log_factorial(m)
     return _ladder(F, force, log_rest, slope, build,
@@ -271,8 +265,8 @@ def _extended(F: Functional, K: int | None = None) -> ExpansionResult:
 
     def build(dkappa):
         if printed:
-            return tuple(_over_powers([D(k, sigma, lam, kappa, m)
-                                       for k in range(K + 1)], alpha)
+            return tuple([D(0, sigma, lam, kappa, m),
+                          D(1, sigma, lam, kappa, m) / alpha][:K + 1]
                          for D in (coeffs.ext_lag_D,
                                    coeffs.ext_lag_D_kappa_derivative))
         amp = coeffs.ext_lag_amplitude(sigma, lam, kappa, m, alpha, 2 * K,
@@ -301,9 +295,10 @@ def hermite_type_gegenbauer(m: int, alpha: float, x: float,
     if m == 0:
         return 1.0
     p, q = coeffs.geg_hermite_coeffs(m, x)
-    ps = math.fsum(p[k] / alpha ** k for k in range(orders + 1))
-    qs = math.fsum(q[k] / alpha ** k for k in range(orders + 1))
-    return (alpha ** (0.5 * m) / math.factorial(m)
+    inv = 1.0 / alpha
+    ps = math.fsum(p[k] * inv ** k for k in range(orders + 1))
+    qs = math.fsum(q[k] * inv ** k for k in range(orders + 1))
+    return (math.sqrt(alpha) ** m / math.factorial(m)
             * (hermite_value(m, x) * ps
                + (m / alpha) * hermite_value(m - 1, x) * qs))
 
@@ -346,6 +341,7 @@ def hermite_type_laguerre(m: int, alpha: float, x: float,
     if m == 0:
         return 1.0
     fs = _laguerre_taylor_alpha_coeffs(m)
+    root_inv = 1.0 / math.sqrt(alpha)  # alpha^(j - n/2) = root_inv^(n - 2j)
     lev_max = 2 * orders + 1
     total = 0.0
     for n in range(m + 1):
@@ -354,7 +350,7 @@ def hermite_type_laguerre(m: int, alpha: float, x: float,
             if 0 <= lev <= lev_max and fnj != 0.0:
                 total += ((-1.0) ** n * math.factorial(m) / math.factorial(m - n)
                           * 2.0 ** (m - 0.5 * n) * fnj
-                          * s ** (m - n) * alpha ** (j - 0.5 * n))
+                          * s ** (m - n) * root_inv ** lev)
     return (alpha / 2.0) ** (0.5 * m) * (-1.0) ** m / math.factorial(m) * total
 
 
@@ -395,6 +391,9 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
         return ExpansionResult(q.value, (1.0,), 1, "oracle_only", tol_rel, q)
     try:
         res = _EVALUATORS[F.kind](F, K)
+        value = res.value
+        if not (value.is_zero or math.isfinite(value.log_abs)):
+            raise OverflowError(f"log|I| = {value.log_abs}")
     except OverflowError as exc:
         raise OverflowError(f"the expansion overflows double precision at "
                             f"alpha = {F.alpha!r}, m = {F.m}: {exc}") from None
@@ -402,7 +401,15 @@ def evaluate_asymptotic(F: Functional, K: int | None = None,
 
 
 def closed_form_value(F: Functional) -> LogValue:
-    """Exact closed-form value, where one is known for the parameter choice."""
+    """Exact closed-form value, where one is known; an overflow names alpha, m."""
+    try:
+        return _closed_form(F)
+    except OverflowError as exc:
+        raise OverflowError(f"the closed form overflows double precision at "
+                            f"alpha = {F.alpha!r}, m = {F.m}: {exc}") from None
+
+
+def _closed_form(F: Functional) -> LogValue:
     m, alpha = F.m, F.alpha
     if F.kind is Kind.LAG_RENYI:
         if m == 0:

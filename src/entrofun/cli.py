@@ -346,6 +346,9 @@ def cmd_coeffs(args) -> int:
     except (TypeError, AttributeError) as exc:
         raise CliError(f"missing or invalid parameters for ladder "
                        f"{args.ladder!r}: {exc}") from exc
+    if args.ladder in ("f", "lag-a", "lag-c", "geg-f", "geg-a", "geg-c"):
+        # coeffs stores these over alpha^k; print them in their own units
+        values = [v * args.alpha ** k for k, v in enumerate(values)]
     doc = {"ladder": args.ladder, "provenance": provenance,
            "values": [float(v) for v in values]}
     doc.update(meta)

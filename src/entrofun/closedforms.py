@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .functional import _close
 from .logvalue import LogValue
 
 _INT_TOL = 1e-9
@@ -152,7 +153,7 @@ def more15_value(m: int, alpha: float, lam: float) -> LogValue:
     """Extended Laguerre Renyi-type integral for kappa=2, sigma=1, lambda != 1."""
     if lam <= 0:
         raise ValueError("more15_value requires lambda > 0")
-    if lam == 1.0:
+    if _close(lam, 1.0):
         raise ValueError("more15_value requires lambda != 1 (use more24_value)")
     z = 1.0 / (lam - 1.0) ** 2
     f = hyper_terminating(HyperTerm(

@@ -10,6 +10,11 @@ and ``lam`` the weight parameters of the Laguerre-type integrals, ``sigma``
 the shift in the extended (mu = alpha + sigma) family, and ``a, b, c, d``
 the exponent parameters of the Gegenbauer-type integrals.
 
+Every ladder expands in inverse powers of alpha (DLMF §2.1(iii)): each
+sequence is stored over the power of alpha it is expanded in, and each moment
+(the Watson table, ``series.laplace_terms``) takes its 1/alpha per order as a
+power of 1/alpha, so the ladders give their terms c_k / alpha^k directly.
+
 Both Laplace-type families, the Gegenbauer integral and the extended
 Laguerre one, have a logarithmic phase, so each saddle map x(y), defined by
 phi(x) - phi(x_m) = y^2/2, solves a first-order ODE with a quadratic right
@@ -38,13 +43,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .series import (Series, _double_factorial_odd, _overflow, series_log,
-                     series_pow)
+from .functional import _close
+from .series import Series, laplace_terms, series_log, series_pow
 
 
 @dataclass(frozen=True)
 class CoeffLadder:
-    """A k-indexed coefficient list."""
+    """A k-indexed ladder: the terms c_k / alpha^k of the expansion."""
 
     values: tuple[float, ...]
     dkappa: tuple[float, ...] | None = None  # d values / d kappa, if asked
@@ -65,15 +70,17 @@ def _falling(m: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def f_sequence(m: int, alpha: float, n_max: int) -> list[float]:
-    """f_n(m; alpha) = L_n^(alpha+m-n)(alpha) via the three-term recurrence
-    (n+1) f_{n+1} = (m-n) f_n - alpha f_{n-1}, seeded f_0 = 1, f_1 = m."""
+    """f_n(m; alpha) / alpha^n, where f_n = L_n^(alpha+m-n)(alpha) =
+    O(alpha^floor(n/2)), via the three-term recurrence
+    (n+1) alpha f_{n+1} = (m-n) f_n - f_{n-1} on the stored values, seeded
+    f_0 = 1, f_1 = m / alpha."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     f = [1.0]
     if n_max >= 1:
-        f.append(float(m))
+        f.append(m / alpha)
     for n in range(1, n_max):
-        f.append(((m - n) * f[n] - alpha * f[n - 1]) / (n + 1.0))
+        f.append(((m - n) * f[n] - f[n - 1]) / ((n + 1.0) * alpha))
     return f
 
 
@@ -108,9 +115,9 @@ def _pow_dkappa(base: Series, kappa: float, dkappa: bool):
 
 def lag_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
                  dkappa: bool = False):
-    """A_j: coefficients of the kappa-th power of the bracketed Taylor series
-    of L_m^(alpha)(alpha t), expanded in 1/(alpha (1-t)); with ``dkappa``
-    the pair (A_j, dA_j/dkappa)."""
+    """A_j / alpha^j: coefficients of the kappa-th power of the bracketed
+    Taylor series of L_m^(alpha)(alpha t), expanded in 1/(alpha (1-t)); with
+    ``dkappa`` the pair (A_j, dA_j/dkappa), both over alpha^j."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     f = f_sequence(m, alpha, min(m, j_max))
@@ -118,10 +125,11 @@ def lag_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
     return _pow_dkappa(Series.from_coeffs(base, j_max), kappa, dkappa)
 
 
-def _lag_B_table(mu: float, lam: float, kappa: float, m: int, k_max: int,
-                 dkappa: bool):
+def _lag_B_table(mu: float, lam: float, kappa: float, m: int, alpha: float,
+                 k_max: int, dkappa: bool):
     """Watson moments B_{j,n} = (mu)_n (j - kappa m)_n / (n! lam^n) for
-    j + n <= k_max, and with ``dkappa`` their kappa-derivatives.
+    j + n <= k_max, each times (1/alpha)^n, and with ``dkappa`` their
+    kappa-derivatives in the same units.
 
     Each moment is walked along n by its running ratio (mu + n)(x + n) /
     ((n + 1) lam), x = j - kappa m, kept as running numerator products over
@@ -136,6 +144,8 @@ def _lag_B_table(mu: float, lam: float, kappa: float, m: int, k_max: int,
     for n in range(k_max):
         poch_mu.append(poch_mu[n] * (mu + n))
         denom.append(math.factorial(n + 1) * lam ** (n + 1))
+    inv = 1.0 / alpha
+    inv_n = [inv ** n for n in range(k_max + 1)]
     B, dB = [], []
     for j in range(k_max + 1):
         x = j - kappa * m
@@ -144,9 +154,9 @@ def _lag_B_table(mu: float, lam: float, kappa: float, m: int, k_max: int,
         for n in range(1, k_max + 1 - j):
             factor = x + (n - 1)
             poch_x, dpoch_x = poch_x * factor, dpoch_x * factor - m * poch_x
-            b.append(poch_mu[n] * poch_x / denom[n])
+            b.append(poch_mu[n] * poch_x / denom[n] * inv_n[n])
             if dkappa:
-                db.append(poch_mu[n] * dpoch_x / denom[n])
+                db.append(poch_mu[n] * dpoch_x / denom[n] * inv_n[n])
         B.append(b)
         dB.append(db)
     return B, dB
@@ -154,23 +164,20 @@ def _lag_B_table(mu: float, lam: float, kappa: float, m: int, k_max: int,
 
 def lag_C_ladder(mu: float, lam: float, kappa: float, m: int, alpha: float,
                  k_max: int, dkappa: bool = False) -> CoeffLadder:
-    """C_k(alpha) = sum_{j<=k} A_j B_{j,k-j}; alpha-dependent ladder.  With
-    ``dkappa`` the ladder also carries dC_k/dkappa."""
+    """The terms C_k(alpha) / alpha^k of the alpha-dependent ladder C_k =
+    sum_{j<=k} A_j B_{j,k-j}, each product taken in the units of its
+    factors.  With ``dkappa`` the ladder also carries dC_k/dkappa / alpha^k."""
     A = lag_A_coeffs(kappa, m, alpha, k_max, dkappa)
     if dkappa:
         A, dA = A
-    B, dB = _lag_B_table(mu, lam, kappa, m, k_max, dkappa)
-    try:
-        values = tuple(math.fsum([A[j] * B[j][k - j] for j in range(k + 1)])
+    B, dB = _lag_B_table(mu, lam, kappa, m, alpha, k_max, dkappa)
+    values = tuple(math.fsum([A[j] * B[j][k - j] for j in range(k + 1)])
+                   for k in range(k_max + 1))
+    derivs = None
+    if dkappa:
+        derivs = tuple(math.fsum([dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
+                                  for j in range(k + 1)])
                        for k in range(k_max + 1))
-        derivs = None
-        if dkappa:
-            derivs = tuple(
-                math.fsum([dA[j] * B[j][k - j] + A[j] * dB[j][k - j]
-                           for j in range(k + 1)])
-                for k in range(k_max + 1))
-    except ValueError:
-        raise _overflow() from None
     return CoeffLadder(values, dkappa=derivs)
 
 
@@ -215,29 +222,20 @@ def lag_D_kappa_derivative(k: int, mu: float, lam: float, kappa: float,
 # ---------------------------------------------------------------------------
 
 def geg_f_sequence(m: int, alpha: float, n_max: int) -> list[float]:
-    """The O(1) coefficients of the inverse-square reordering of the explicit
-    Gegenbauer sum: f_n = (-1)^n alpha^n m! (alpha)_{m-n} /
-    (4^n n! (m-2n)! (alpha)_m); zero once 2n exceeds m."""
-    out = []
-    for n in range(n_max + 1):
-        if 2 * n > m:
-            out.append(0.0)
-            continue
-        ratio = 1.0
-        for k in range(m - n, m):
-            ratio *= alpha + k
-        val = ((-1.0) ** n * alpha ** n * math.factorial(m)
-               / (4.0 ** n * math.factorial(n) * math.factorial(m - 2 * n))
-               / ratio)
-        out.append(val)
-    return out
+    """f_n / alpha^n for the O(1) coefficients f_n of the inverse-square
+    reordering of the explicit Gegenbauer sum: f_n / alpha^n = (-1)^n m! /
+    (4^n n! (m-2n)! prod_{k=m-n..m-1} (alpha + k)); zero once 2n exceeds m."""
+    return [(-1.0) ** n * math.factorial(m)
+            / (4.0 ** n * math.factorial(n) * math.factorial(m - 2 * n))
+            / math.prod([alpha + k for k in range(m - n, m)])
+            if 2 * n <= m else 0.0 for n in range(n_max + 1)]
 
 
 def geg_A_coeffs(kappa: float, m: int, alpha: float, j_max: int,
                  dkappa: bool = False):
-    """A_j for the Gegenbauer integrand power: the kappa-th power of the
-    inverse-square series, expanded in 1/(alpha x^2); with ``dkappa`` the
-    pair (A_j, dA_j/dkappa)."""
+    """A_j / alpha^j for the Gegenbauer integrand power: the kappa-th power of
+    the inverse-square series, expanded in 1/(alpha x^2); with ``dkappa`` the
+    pair (A_j, dA_j/dkappa), both over alpha^j."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     base = Series.from_coeffs(geg_f_sequence(m, alpha, j_max), j_max)
@@ -322,21 +320,20 @@ def geg_laplace_c(j: int, a: float, b: float, c: float, d: float,
     return _geg_amplitude(_geg_frame(a, b, c, d, order), j, kappa, m, order)
 
 
-def _gaussian_moments(A, amps, k_max: int) -> tuple[float, ...]:
-    """sum_{j<=k} A_j [y^(2(k-j))] amp_j (2(k-j)-1)!! for k = 0..k_max."""
-    try:
-        return tuple(math.fsum([
-            A[j] * amps[j].coeffs[2 * (k - j)] * _double_factorial_odd(k - j)
-            for j in range(k + 1)]) for k in range(k_max + 1))
-    except ValueError:
-        raise _overflow() from None
+def _gaussian_moments(A, amps, alpha: float, k_max: int) -> tuple[float, ...]:
+    """sum_{j<=k} A_j t_(k-j)(amp_j) for k = 0..k_max, where t_n(amp) =
+    [y^(2n)] amp (2n-1)!! / alpha^n is the n-th ``laplace_terms`` term."""
+    moments = [laplace_terms(amp, alpha, k_max - j) for j, amp in enumerate(amps)]
+    return tuple(math.fsum([A[j] * moments[j][k - j] for j in range(k + 1)])
+                 for k in range(k_max + 1))
 
 
 def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
                  alpha: float, k_max: int, dkappa: bool = False) -> CoeffLadder:
-    """C_k(alpha): Gaussian-moment assembly of the per-j amplitudes weighted
-    by the A_j ladder.  With ``dkappa`` the ladder also carries dC_k/dkappa,
-    where d amp_j / d kappa = amp_j m (log(x / x_m) + log x_m)."""
+    """The terms C_k(alpha) / alpha^k: Gaussian-moment assembly of the per-j
+    amplitudes weighted by the A_j ladder.  With ``dkappa`` the ladder also
+    carries dC_k/dkappa / alpha^k, where d amp_j / d kappa =
+    amp_j m (log(x / x_m) + log x_m)."""
     A = geg_A_coeffs(kappa, m, alpha, k_max, dkappa)
     frame = _geg_frame(a, b, c, d, 2 * k_max)
     amps = [_geg_amplitude(frame, j, kappa, m, 2 * (k_max - j))
@@ -347,9 +344,10 @@ def geg_C_ladder(a: float, b: float, c: float, d: float, kappa: float, m: int,
         x_m, wx = frame[0], frame[3]
         log_x = series_log(wx) + Series.constant(math.log(x_m), 2 * k_max)
         damps = [amp * log_x.truncate(amp.order) * m for amp in amps]
-        derivs = tuple(u + v for u, v in zip(_gaussian_moments(dA, amps, k_max),
-                                              _gaussian_moments(A, damps, k_max)))
-    return CoeffLadder(_gaussian_moments(A, amps, k_max), dkappa=derivs)
+        derivs = tuple(u + v for u, v in
+                       zip(_gaussian_moments(dA, amps, alpha, k_max),
+                           _gaussian_moments(A, damps, alpha, k_max)))
+    return CoeffLadder(_gaussian_moments(A, amps, alpha, k_max), dkappa=derivs)
 
 
 def geg_D0(a: float, b: float, c: float, d: float, kappa: float, m: int) -> float:
@@ -390,7 +388,7 @@ def lag_hermite_coeffs(m: int, alpha: float, x: float) -> tuple[list[float], lis
     d0 = 1.0
     c1 = m * (alpha * (x - 1.0) - 1.0)
     d1 = (3.0 + 7.0 * alpha - 3.0 * m - 9.0 * alpha * x
-          + 3.0 * alpha ** 2 * (x - 1.0) ** 2 - 4.0 * alpha * m
+          + 3.0 * (alpha * (x - 1.0)) ** 2 - 4.0 * alpha * m
           + 6.0 * alpha * x * m) / 3.0
     return [c0, c1], [d0, d1]
 
@@ -423,7 +421,7 @@ def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if lam == 1.0:
+    if _close(lam, 1.0):
         raise ValueError("lambda = 1 is the symmetric branch; no Laplace "
                          "amplitude of this form exists there")
     x0, s = ext_saddle_x(lam, order)  # s.order == order + 1, for dx/dy
@@ -431,8 +429,8 @@ def ext_lag_amplitude(sigma: float, lam: float, kappa: float, m: int,
     s = s.truncate(order)
     x_ratio = (Series.constant(x0, order) + s) * (1.0 / x0)
     wser = (Series.constant(1.0 - x0, order) - s) * (1.0 / (1.0 - x0))
-    f = f_sequence(m, alpha, m)
-    inv = series_pow(wser, -1.0) * (1.0 / (alpha * (1.0 - x0)))
+    f = f_sequence(m, alpha, m)  # f_n / alpha^n carries the 1/alpha^n of inv^n
+    inv = series_pow(wser, -1.0) * (1.0 / (1.0 - x0))
     t = Series.constant(1.0, order)
     inv_n = Series.constant(1.0, order)
     for n in range(1, m + 1):
@@ -462,7 +460,7 @@ def ext_lag_D(k: int, sigma: float, lam: float, kappa: float, m: int) -> float:
     - 24 m lam + 12 m) / (12 (lam-1)^2), and it agrees with the numeric
     Laplace pipeline for general parameters.
     """
-    if lam == 1.0:
+    if _close(lam, 1.0):
         raise ValueError("the lambda = 1 case has no ladder of this form")
     if k < 0 or k > 1:
         raise ValueError("closed forms are available for k <= 1 only")
@@ -479,7 +477,7 @@ def ext_lag_D(k: int, sigma: float, lam: float, kappa: float, m: int) -> float:
 def ext_lag_D_kappa_derivative(k: int, sigma: float, lam: float, kappa: float,
                                m: int) -> float:
     """Analytic d/d(kappa) of the extended-Laguerre ladder, k <= 1."""
-    if lam == 1.0:
+    if _close(lam, 1.0):
         raise ValueError("the lambda = 1 case has no ladder of this form")
     if k < 0 or k > 1:
         raise ValueError("analytic kappa-derivatives available for k <= 1 only")

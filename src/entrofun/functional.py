@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+def _close(u: float, v: float) -> bool:
+    """The routing equality: u and v agree to 1e-12 relative."""
+    return abs(u - v) <= 1e-12 * max(abs(u), abs(v))
+
+
 class Kind(str, Enum):
     LAG_RENYI = "lag_renyi"            # weight x^(mu-1) e^(-lam x), |L|^kappa
     LAG_SHANNON = "lag_shannon"        # same weight, L^2 log L^2

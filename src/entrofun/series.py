@@ -4,9 +4,8 @@ This is the engine that regenerates the saddle-point and Watson's-lemma
 coefficient ladders to arbitrary order: Cauchy products, logarithms and real
 powers, and the Gaussian-moment terms of a Laplace amplitude.  The saddle
 maps themselves come from their ODE in :mod:`entrofun.coeffs`.
-``_over_powers`` turns every ladder's coefficients into its terms
-c_k / alpha^k; a coefficient that is not finite, or a sum that meets
-inf - inf, raises the one named series overflow error.
+``laplace_terms`` gives an amplitude's terms c_2k (2k-1)!! / alpha^k, each
+1/alpha^k a power of 1/alpha, which underflows to 0 and cannot overflow.
 
 A :class:`Series` is a plain tuple of double coefficients with an explicit
 truncation order; operations never silently extend the order, results carry
@@ -150,26 +149,11 @@ def _double_factorial_odd(k: int) -> float:
     return out
 
 
-def _over_powers(values, alpha: float) -> list[float]:
-    """The ladder terms c_k / alpha^k, k = 0, 1, ..., for alpha > 1; a term
-    whose alpha^k overflows double precision is 0, since it is then below
-    |c_k| 6e-309.  A coefficient that is not finite raises the series
-    overflow error."""
-    out = []
-    for k, c in enumerate(values):
-        if not math.isfinite(c):
-            raise _overflow()
-        try:
-            out.append(c / alpha ** k)
-        except OverflowError:
-            out.append(0.0)
-    return out
-
-
 def laplace_terms(amplitude: Series, alpha: float, K: int) -> list[float]:
-    """Gaussian-moment terms c_{2k} (2k-1)!! / alpha^k for k = 0..K."""
+    """Gaussian-moment terms c_{2k} (2k-1)!! (1/alpha)^k for k = 0..K."""
     if amplitude.order < 2 * K:
         raise ValueError(f"amplitude order {amplitude.order} is insufficient "
                          f"for K={K} (need >= {2 * K})")
-    return _over_powers([amplitude.coeffs[2 * k] * _double_factorial_odd(k)
-                         for k in range(K + 1)], alpha)
+    inv = 1.0 / alpha
+    return [amplitude.coeffs[2 * k] * _double_factorial_odd(k) * inv ** k
+            for k in range(K + 1)]

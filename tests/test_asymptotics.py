@@ -563,31 +563,99 @@ def test_evaluate_asymptotic_validates_K(F, K):
 
 
 @pytest.mark.parametrize("F", [
-    Functional.lag_renyi(2, 1e300, 2.5, 1.0, 2.0),
-    Functional.lag_shannon(2, 1e300, 2.5, 1.5),
-    Functional.lag_renyi(20, 1e200, 2.5, 1.0, 2.0),
-    # at m = 2 both ladders now hold at 1e300; from m = 4 their coefficients
-    # overflow: alpha^n in the Gegenbauer f_n, and the extended amplitude
-    # comes out NaN
-    Functional.geg_renyi(4, 1e300, 0.0, 0.0, 1.0, 3.0, 2.0),
-    Functional.ext_renyi(4, 1e300, 1.0, 2.0, 2.0),
-], ids=["lag_renyi", "lag_shannon", "lag_renyi_m20", "geg_renyi", "ext_renyi"])
+    # log Gamma(mu) is past double range
+    Functional.lag_renyi(2, 1e308, 1e308, 1.0, 2.0),
+    Functional.lag_shannon(2, 1e308, 1e308, 1.5),
+    Functional.lag_renyi(20, 1e200, 1e308, 1.0, 2.0),
+    # the weight peaks at e^(686 alpha) for c = 1, d = 1000
+    Functional.geg_renyi(2, 1e308, 0.0, 0.0, 1.0, 1000.0, 2.0),
+    # log Gamma(alpha + sigma) is past double range, on the ladder and on the
+    # lambda = 1 Hermite limit: a named error, not an infinite log|I|
+    Functional.ext_renyi(2, 1e308, 1.0, 2.0, 2.0),
+    Functional.ext_renyi(2, 1e307, 1.0, 1.0, 2.0),
+], ids=["lag_renyi", "lag_shannon", "lag_renyi_m20", "geg_renyi", "ext_renyi",
+        "ext_renyi_lam1"])
 def test_overflow_names_alpha_and_m(F):
+    # each input's log|I| overflows double precision
     where = re.escape(f"alpha = {F.alpha!r}, m = {F.m}")
     with pytest.raises(OverflowError, match=f"overflows double precision at {where}"):
         evaluate_asymptotic(F)
 
 
-@pytest.mark.parametrize("m,alpha", [
-    (1, 1e23), (1, 1e30), (1, 1e100), (2, 1e23), (2, 1e30), (2, 1e100),
-    (3, 1e23), (3, 1e30), (10, 1e23), (10, 1e30)])
+_HUGE_ALPHA_GRID = [10.0 ** k for k in range(2, 301, 2)] + [1e308, 1e23]
+
+
+def _huge_alpha_inputs(m, alpha):
+    """One asymmetric input of each kind (c != d, lambda != 1 on the
+    extended family); the Renyi ones are the lag24, geg22 and more15
+    closed-form choices."""
+    return (Functional.lag_renyi(m, alpha, 2.5, 1.0, 2.0),
+            Functional.lag_shannon(m, alpha, 2.5, 1.5),
+            Functional.geg_renyi(m, alpha, -0.5, 2 * m - 1.5, 1.0, 3.0, 2.0),
+            Functional.geg_shannon(m, alpha, -0.5, 4.5, 1.0, 3.0),
+            Functional.ext_renyi(m, alpha, 1.0, 2.0, 2.0),
+            Functional.ext_shannon(m, alpha, 1.0, 2.0))
+
+
+def _mp_closed_log(mp, F):
+    """log|I| of the lag24, geg22 or more15 closed form in mpmath."""
+    m, a, half = F.m, mp.mpf(F.alpha), mp.mpf(1) / 2
+    if F.kind.name == "LAG_RENYI":
+        mu = mp.mpf(F.mu)
+        h = mp.hyper([-m, mu, mu - a], [a + 1, mu - a - m], 1)
+        return mp.log(abs(mp.gamma(mu) * mp.rf(a + 1, m) * mp.rf(a + 1 - mu, m)
+                          * h)) - 2 * mp.log(mp.factorial(m))
+    if F.kind.name == "GEG_RENYI":
+        return (mp.log(mp.pi) / 2 + mp.loggamma(a + 2 * m + half)
+                + mp.loggamma(3 * a + 2 * m - half) - mp.loggamma(2 * a)
+                - mp.loggamma(2 * a + 2 * m + half)
+                - 2 * (m * mp.log(2) + mp.log(mp.factorial(m)))
+                + mp.log(mp.rf(2 * a, 2 * m)) - 2 * mp.log(mp.rf(a + half, m)))
+    lam = mp.mpf(F.lam)
+    h = mp.hyper([-m, -m], [a + 1], 1 / (lam - 1) ** 2)
+    return (mp.loggamma(a + 1) + 2 * m * mp.log(abs(lam - 1))
+            - (2 * m + a + 1) * mp.log(lam) - 2 * mp.log(mp.factorial(m))
+            + 2 * mp.log(mp.rf(a + 1, m)) + mp.log(h))
+
+
+@pytest.mark.parametrize("alpha", _HUGE_ALPHA_GRID)
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 20])
 def test_watson_ladder_past_the_overflow_of_alpha_powers(m, alpha):
-    # alpha^k overflows double precision from k = 14 at alpha = 1e23: the
-    # terms there lie below |C_k| 6e-309 and count as 0
-    ref = lag24_value(m, alpha, 2.5)
-    res = evaluate_asymptotic(Functional.lag_renyi(m, alpha, 2.5, 1.0, 2.0))
-    assert res.status == "ok"
-    assert abs(res.value.log_abs - ref.log_abs) <= math.ulp(abs(ref.log_abs))
+    # Every ladder is built in units of alpha, so alpha^k (past double
+    # precision from k = 14 at alpha = 1e23) is never formed and no input
+    # whose log|I| is finite overflows, up to alpha = 1e308.  Only the
+    # extended families reach an infinite log|I| on this grid: their
+    # log Gamma(alpha + sigma) ~ alpha log alpha passes double range, and
+    # that is the named OverflowError.  The one other refusal is the
+    # extended ladder's small-alpha one (ROADMAP item 6).  From alpha = 1e4
+    # the lag24, geg22 and more15 values are ok and within 4 ulps of log|I|
+    # (of 1 below |log|I|| = 1) of the closed form in mpmath, whose working
+    # precision must exceed log10(alpha) + 60 digits or alpha + 1 rounds
+    # away.
+    mp = pytest.importorskip("mpmath")
+    for F in _huge_alpha_inputs(m, alpha):
+        past_range = (F.kind.name.startswith("EXT")
+                      and math.isinf(alpha * math.log(alpha))
+                      and not (F.kind.is_shannon and m == 0))
+        if past_range:
+            where = re.escape(f"alpha = {alpha!r}, m = {m}")
+            with pytest.raises(OverflowError,
+                               match=f"overflows double precision at {where}"):
+                evaluate_asymptotic(F)
+            continue
+        try:
+            res = evaluate_asymptotic(F)
+        except ValueError as exc:
+            assert alpha <= 1e2 and "is too small" in str(exc), F
+            continue
+        value = res.value
+        assert value.is_zero or math.isfinite(value.log_abs), F
+        if F.kind.is_shannon or alpha < 1e4:
+            continue
+        with mp.workdps(int(math.log10(alpha)) + 60):
+            ref = float(_mp_closed_log(mp, F))
+        assert res.status == "ok", F
+        assert abs(value.log_abs - ref) <= 4 * math.ulp(max(abs(ref), 1.0)), F
 
 
 @pytest.mark.parametrize("F", [
@@ -596,8 +664,8 @@ def test_watson_ladder_past_the_overflow_of_alpha_powers(m, alpha):
     Functional.ext_renyi(3, 1e50, 1.0, 2.0, 2.0),
 ], ids=["geg_renyi", "geg_shannon", "ext_renyi"])
 def test_laplace_ladders_past_the_overflow_of_alpha_powers(F):
-    # alpha^7 overflows at alpha = 1e50; every term past k = 1 is below
-    # 1e-99 of the first, so the full ladder is its own K = 1 truncation
+    # every term past k = 1 is below 1e-99 of the first, so the full ladder
+    # is its own K = 1 truncation
     full, one = evaluate_asymptotic(F), evaluate_asymptotic(F, K=1)
     assert full.status == "ok"
     assert full.value.rel_diff(one.value) <= 1e-15

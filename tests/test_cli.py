@@ -170,25 +170,35 @@ def test_eval_rejects_infinite_alpha(capsys, method):
     assert json.loads(err) == {"error": "alpha must be finite, got inf"}
 
 
-@pytest.mark.parametrize("argv, where", [
-    (_I1_M2, ""),
-    # the Gegenbauer Laplace moment sums meet inf - inf
-    (("--kind", "i3", "--m", "3", "--a", "0", "--b", "0", "--c", "1", "--d", "3",
-      "--kappa", "2"), "alpha = 1e+308"),
+_I5_M2 = ("--kind", "i5", "--m", "2", "--sigma", "1", "--lambda", "2",
+          "--kappa", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    # log Gamma(mu) is past double range
+    ("--kind", "i1", "--m", "2", "--mu", "1e308", "--lambda", "1", "--kappa", "2"),
+    # the weight peaks at e^(686 alpha)
+    ("--kind", "i3", "--m", "3", "--a", "0", "--b", "0", "--c", "1",
+     "--d", "1000", "--kappa", "2"),
+    # log Gamma(alpha + sigma) is past double range: a named error, not
+    # log_abs Infinity
+    _I5_M2,
     # the terms of the terminating 3F2 overflow
-    (_I1_M2 + ("--method", "closed"), ""),
-], ids=["i1_asym", "i3_asym", "i1_closed"])
-def test_eval_reports_overflow(capsys, argv, where):
+    _I1_M2 + ("--method", "closed"),
+    # lgamma overflows
+    _I5_M2 + ("--method", "closed"),
+], ids=["i1_asym", "i3_asym", "i5_asym", "i1_closed", "i5_closed"])
+def test_eval_reports_overflow(capsys, argv):
     code, out, err = run_cli(capsys, "eval", *argv, "--alpha", "1e308")
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["type"] == "OverflowError"
-    assert where in doc["error"]
+    assert "overflows double precision at alpha = 1e+308, m = " in doc["error"]
 
 
 def test_sweep_reports_overflow_rows(capsys):
-    code, out, _ = run_cli(capsys, "sweep", *_I1_M2, "--alpha", "1",
-                           "--alpha-start", "1e300", "--alpha-stop", "1e308",
+    code, out, _ = run_cli(capsys, "sweep", *_I5_M2, "--alpha", "1",
+                           "--alpha-start", "1e307", "--alpha-stop", "1e308",
                            "--count", "2", "--methods", "asym")
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -450,12 +460,12 @@ def test_huge_alpha_oracle_is_one_json_error(capsys, argv):
 
 
 def test_asym_overflow_names_alpha_and_m(capsys):
-    code, out, err = run_cli(capsys, "eval", *_I1_M2, "--alpha", "1e300",
+    code, out, err = run_cli(capsys, "eval", *_I5_M2, "--alpha", "1e308",
                              "--method", "asym")
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["type"] == "OverflowError"
-    assert "overflows double precision at alpha = 1e+300, m = 2" in doc["error"]
+    assert "overflows double precision at alpha = 1e+308, m = 2" in doc["error"]
 
 
 def test_sweep_spec_validation():

@@ -121,6 +121,13 @@ def test_more15_lambda_one_rejected():
         more15_value(2, 10.0, 1.0)
 
 
+def test_more15_rejects_lambda_at_the_routing_tolerance_of_1():
+    # lambda within 1e-12 of 1 routes to more24_value; here the 2F0
+    # argument would be 1 / (lambda - 1)^2 ~ 1e28
+    with pytest.raises(ValueError, match="lambda != 1"):
+        more15_value(2, 10.0, 1.0 + 1e-14)
+
+
 def test_more15_m0():
     alpha, lam = 20.0, 2.0
     expect = LogValue.from_log(log_gamma(alpha + 1.0)

@@ -21,11 +21,12 @@ from series_reference import laplace_sum
 # ---------------------------------------------------------------------------
 
 def test_f_sequence_low_orders():
-    assert cf.f_sequence(5, 30.0, 1) == [1.0, 5.0]
+    # f_n is stored over alpha^n
+    assert cf.f_sequence(5, 30.0, 1) == [1.0, 5.0 / 30.0]
     # (m(m-1) - alpha)/2 at m=4, alpha=10
-    assert cf.f_sequence(4, 10.0, 2)[2] == pytest.approx(1.0)
+    assert cf.f_sequence(4, 10.0, 2)[2] == pytest.approx(1.0 / 10.0 ** 2)
     # (m(m-1)(m-2) + 2 alpha - 3 m alpha)/6 at m=2, alpha=10
-    assert cf.f_sequence(2, 10.0, 3)[3] == pytest.approx(-20.0 / 3.0)
+    assert cf.f_sequence(2, 10.0, 3)[3] == pytest.approx(-20.0 / 3.0 / 10.0 ** 3)
 
 
 def test_f_sequence_matches_kummer_route():
@@ -46,7 +47,8 @@ def test_f_sequence_matches_kummer_route():
                     tot += t
                     t *= (-n + j) * alpha / ((b + j) * (j + 1))
                 ref = float(mp.binomial(alpha + m, n) * tot)
-                assert f[n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
+                assert f[n] * alpha ** n == pytest.approx(ref, rel=1e-11,
+                                                          abs=1e-11)
 
 
 def _poch(a: float, n: int) -> float:
@@ -85,18 +87,19 @@ def test_f_value_kummer_double_route():
                 cond = absd / max(abs(tot), 1e-300)
                 ref = f_value_kummer(n, m, alpha)
                 tol = 1e-12 * max(10.0, cond)
-                assert f[n] == pytest.approx(ref, rel=tol, abs=tol)
+                assert f[n] * alpha ** n == pytest.approx(ref, rel=tol, abs=tol)
 
 
 def test_f_sequence_growth_order():
-    # even entries grow like alpha^n: doubling alpha multiplies by <= 2.5^n
+    # even entries f_2n grow like alpha^n, so the stored f_2n / alpha^2n
+    # decay like alpha^-n: doubling alpha multiplies them by <= 2.5^n / 4^n
     # once alpha dominates m(m-1)
     m = 4
     for alpha in (50.0, 100.0, 200.0):
         f1 = cf.f_sequence(m, alpha, 2 * m)
         f2 = cf.f_sequence(m, 2.0 * alpha, 2 * m)
         for n in range(1, 4):
-            assert abs(f2[2 * n]) / abs(f1[2 * n]) <= 2.5 ** n
+            assert abs(f2[2 * n]) / abs(f1[2 * n]) <= 2.5 ** n / 4.0 ** n
 
 
 def test_g_coeffs_values():
@@ -171,7 +174,8 @@ def lag_B_dkappa(j: int, n: int, mu: float, lam: float, kappa: float,
 
 
 def _lag_B_entry(j, n, mu, lam, kappa, m, dkappa=False):
-    B, dB = cf._lag_B_table(mu, lam, kappa, m, j + n, dkappa)
+    # at alpha = 1 the table holds the moments themselves
+    B, dB = cf._lag_B_table(mu, lam, kappa, m, 1.0, j + n, dkappa)
     return dB[j][n] if dkappa else B[j][n]
 
 
@@ -191,17 +195,19 @@ def test_lag_B_values():
 @pytest.mark.parametrize("kappa", [2.0, 2.5, 3.7])
 def test_lag_C_ladder_matches_per_entry_moments(m, kappa):
     # the running-ratio table rounds exactly like the per-entry Pochhammer
-    # quotients, so the ladder and its kappa-derivative are bitwise equal
+    # quotients, each times (1/alpha)^n, so the ladder and its
+    # kappa-derivative are bitwise equal
     k_max = 2 * K_MAX
     for mu, lam, alpha in ((2.5, 1.5, 400.0), (0.7, 0.35, 250.0),
                            (5.8, 2.9, 1.0e4)):
         A, dA = cf.lag_A_coeffs(kappa, m, alpha, k_max, dkappa=True)
-        values = tuple(math.fsum(A[j] * lag_B(j, k - j, mu, lam, kappa, m)
-                                 for j in range(k + 1))
-                       for k in range(k_max + 1))
+        inv = 1.0 / alpha
+        values = tuple(math.fsum(
+            A[j] * (lag_B(j, k - j, mu, lam, kappa, m) * inv ** (k - j))
+            for j in range(k + 1)) for k in range(k_max + 1))
         derivs = tuple(math.fsum(
-            dA[j] * lag_B(j, k - j, mu, lam, kappa, m)
-            + A[j] * lag_B_dkappa(j, k - j, mu, lam, kappa, m)
+            dA[j] * (lag_B(j, k - j, mu, lam, kappa, m) * inv ** (k - j))
+            + A[j] * (lag_B_dkappa(j, k - j, mu, lam, kappa, m) * inv ** (k - j))
             for j in range(k + 1)) for k in range(k_max + 1))
         ladder = cf.lag_C_ladder(mu, lam, kappa, m, alpha, k_max, dkappa=True)
         assert ladder.values == values
@@ -235,7 +241,8 @@ def test_lag_C_low_orders():
     mu, lam, kappa, m, alpha = 2.5, 1.5, 2.0, 3, 60.0
     ladder = cf.lag_C_ladder(mu, lam, kappa, m, alpha, 3)
     assert ladder.values[0] == 1.0
-    assert ladder.values[1] == pytest.approx(
+    # the ladder holds C_k / alpha^k
+    assert ladder.values[1] * alpha == pytest.approx(
         mu * (-kappa * m) / lam + kappa * m * m, rel=1e-13)
 
 
@@ -246,27 +253,28 @@ def test_lag_C_zero_degree():
 
 
 def test_lag_C_order_property():
-    # C_{2k}(alpha) = O(alpha^k): the alpha-normalised entries stay bounded
+    # C_{2k}(alpha) = O(alpha^k): the alpha-normalised entries, the stored
+    # C_2k / alpha^2k times alpha^k, stay bounded
     mu, lam, kappa, m = 2.0, 1.0, 2.5, 4
     for k in (1, 2, 3):
         v1 = cf.lag_C_ladder(mu, lam, kappa, m, 400.0, 2 * k).values[2 * k]
         v2 = cf.lag_C_ladder(mu, lam, kappa, m, 800.0, 2 * k).values[2 * k]
-        assert abs(v2) / 800.0 ** k <= 2.0 * max(abs(v1) / 400.0 ** k, 1e-8)
+        assert abs(v2) * 800.0 ** k <= 2.0 * max(abs(v1) * 400.0 ** k, 1e-8)
 
 
 def _watson_D_from_engine(mu, lam, kappa, m, k_target):
     """Rearrange the alpha-dependent ladder into alpha-free coefficients.
 
     C_k(alpha) is a polynomial in alpha of degree floor(k/2); sampling on a
-    small alpha grid and solving the Vandermonde system recovers its
-    coefficients essentially exactly, and D_k collects the alpha^(j-k)
-    diagonal.
+    small alpha grid (the ladder's C_k / alpha^k times alpha^k) and solving
+    the Vandermonde system recovers its coefficients essentially exactly,
+    and D_k collects the alpha^(j-k) diagonal.
     """
     needed = {}
     for j in range(k_target, 2 * k_target + 1):
         deg = j // 2
         alphas = [10.0 + 7.0 * i for i in range(deg + 1)]
-        samples = [cf.lag_C_ladder(mu, lam, kappa, m, a, j).values[j]
+        samples = [cf.lag_C_ladder(mu, lam, kappa, m, a, j).values[j] * a ** j
                    for a in alphas]
         vand = np.vander(alphas, deg + 1, increasing=True)
         needed[j] = np.linalg.solve(vand, np.array(samples))
@@ -334,15 +342,16 @@ def test_lag_D_kappa_derivative():
 # ---------------------------------------------------------------------------
 
 def test_geg_f_sequence():
+    # f_n is stored over alpha^n
     m, alpha = 5, 40.0
     f = cf.geg_f_sequence(m, alpha, 4)
     assert f[0] == 1.0
-    assert f[1] == pytest.approx(-alpha * m * (m - 1) / (4 * (alpha + m - 1)),
+    assert f[1] == pytest.approx(-m * (m - 1) / (4 * (alpha + m - 1)),
                                  rel=1e-13)
     assert f[3] == 0.0 and f[4] == 0.0  # 2n > m
-    # bounded as alpha grows
+    # f_n bounded as alpha grows
     f_big = cf.geg_f_sequence(m, 1e6, 2)
-    assert abs(f_big[1]) <= abs(m * (m - 1) / 4) * 1.01
+    assert abs(f_big[1]) * 1e6 <= abs(m * (m - 1) / 4) * 1.01
 
 
 def test_geg_A_printed_forms():
@@ -419,11 +428,14 @@ def _geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, order):
 
 
 def _geg_C_rebuilt(a, b, c, d, kappa, m, alpha, k_max):
+    """The terms C_k / alpha^k, each Gaussian moment times (1/alpha)^n."""
     A = cf.geg_A_coeffs(kappa, m, alpha, k_max)
     amps = [_geg_laplace_c_rebuilt(j, a, b, c, d, kappa, m, 2 * (k_max - j))
             for j in range(k_max + 1)]
-    return tuple(math.fsum(A[j] * amps[j].coeffs[2 * (k - j)]
-                           * _double_factorial_odd(k - j) for j in range(k + 1))
+    inv = 1.0 / alpha
+    return tuple(math.fsum(A[j] * (amps[j].coeffs[2 * (k - j)]
+                                   * _double_factorial_odd(k - j)
+                                   * inv ** (k - j)) for j in range(k + 1))
                  for k in range(k_max + 1))
 
 
@@ -635,7 +647,7 @@ def _ext_lag_amplitude_deep(sigma, lam, kappa, m, alpha, order):
     x_ratio = (Series.constant(x0, w) + s) * (1.0 / x0)
     wser = (Series.constant(1.0 - x0, w) - s) * (1.0 / (1.0 - x0))
     f = cf.f_sequence(m, alpha, m)
-    inv = series_pow(wser, -1.0) * (1.0 / (alpha * (1.0 - x0)))
+    inv = series_pow(wser, -1.0) * (1.0 / (1.0 - x0))
     t = Series.constant(1.0, w)
     inv_n = Series.constant(1.0, w)
     for n in range(1, m + 1):
@@ -664,6 +676,18 @@ def test_ext_amplitude_rejects_symmetric_lambda():
         cf.ext_lag_amplitude(1.0, 1.0, 2.0, 1, 100.0, order=16)
 
 
+@pytest.mark.parametrize("build", [
+    lambda lam: cf.ext_lag_amplitude(1.0, lam, 2.0, 1, 100.0, order=4),
+    lambda lam: cf.ext_lag_D(1, 1.0, lam, 2.0, 1),
+    lambda lam: cf.ext_lag_D_kappa_derivative(1, 1.0, lam, 2.0, 1),
+], ids=["ext_lag_amplitude", "ext_lag_D", "ext_lag_D_kappa_derivative"])
+def test_ext_ladder_rejects_lambda_at_the_routing_tolerance_of_1(build):
+    # lambda within 1e-12 of 1 routes to the symmetric branch, where these
+    # forms would divide by (lambda - 1)^2 ~ 1e-28
+    with pytest.raises(ValueError, match="lambda = 1"):
+        build(1.0 + 1e-14)
+
+
 # ---------------------------------------------------------------------------
 # exact kappa-derivatives of the numeric ladders
 # ---------------------------------------------------------------------------
@@ -683,10 +707,6 @@ def _fd_kappa_terms(terms_at, h: float = _FD_STEP):
     return t, dt
 
 
-def _scaled(values, alpha):
-    return [v / alpha ** k for k, v in enumerate(values)]
-
-
 def _lag_terms(rng, K):
     mu, lam = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
     m, alpha = rng.randint(1, 8), 10.0 ** rng.uniform(2.3, 4.0)
@@ -694,8 +714,7 @@ def _lag_terms(rng, K):
     def ladder(kappa, **kw):
         return cf.lag_C_ladder(mu, lam, kappa, m, alpha, 2 * K, **kw)
     exact = ladder(2.0, dkappa=True)
-    return ((_scaled(exact.values, alpha), _scaled(exact.dkappa, alpha)),
-            lambda kappa: _scaled(ladder(kappa).values, alpha))
+    return ((exact.values, exact.dkappa), lambda kappa: ladder(kappa).values)
 
 
 def _geg_terms(rng, K):
@@ -707,8 +726,7 @@ def _geg_terms(rng, K):
     def ladder(kappa, **kw):
         return cf.geg_C_ladder(a, b, c, d, kappa, m, alpha, K, **kw)
     exact = ladder(2.0, dkappa=True)
-    return ((_scaled(exact.values, alpha), _scaled(exact.dkappa, alpha)),
-            lambda kappa: _scaled(ladder(kappa).values, alpha))
+    return ((exact.values, exact.dkappa), lambda kappa: ladder(kappa).values)
 
 
 def _ext_terms(rng, K):
